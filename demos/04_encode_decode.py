@@ -11,8 +11,6 @@ from tgt import (
     construct_good,
     decode_blocks,
     encode,
-    find_defectives,
-    flatten_outcomes,
     recover_yprime,
 )
 from tgt.semantics import SchemeParams
@@ -26,19 +24,20 @@ scheme = build_scheme(g, m, params)
 print(f"scheme: h={scheme.h} locator rows, k={scheme.k} solver rows, "
       f"t={scheme.tests} tests = (2k+1)h")
 
-# Hide some defectives and observe the block-structured outcomes.
+# Hide some defectives and observe the outcomes: one flat vector with a
+# block [y_i, y-block, ybar-block] of 2k+1 bits per locator row i.
 
 truth = DefectiveSet(rng.choice(32, size=4, replace=False).tolist())
 x = truth.to_vector(params.n)
-outcomes = encode(scheme, x)
-positive_blocks = [i for i, b in enumerate(outcomes) if b.y]
+y = encode(scheme, x)
+blocks = y.to_array().reshape(scheme.h, 2 * scheme.k + 1)
 print(f"defectives (1-based): {truth.to_one_based()}")
-print(f"{len(positive_blocks)} of {scheme.h} blocks are positive")
+print(f"{int(blocks[:, 0].sum())} of {scheme.h} blocks are positive")
 
-# The flat outcome vector is exactly T applied at threshold u.
+# The outcome vector is exactly T applied at threshold u.  T itself is
+# never stored: scheme.t derives it from G and M on demand.
 
-flat = flatten_outcomes(outcomes)
-assert flat == apply_threshold(scheme.t, x, params.u)
+assert y == apply_threshold(scheme.t, x, params.u)
 
 # Inside a positive block whose pool holds exactly u defectives, the two
 # outcome halves recover the OR outcomes of the solver matrix.
@@ -47,15 +46,16 @@ weights = scheme.g.to_array() @ x.to_array().astype(int)
 i = int(np.flatnonzero(weights == params.u)[0])
 xi = BitVector(x.to_array() & scheme.g.to_array()[i])
 print(f"\nblock {i}: restricted weight {xi.weight()} == u")
-yprime = recover_yprime(outcomes[i])
+k = scheme.k
+yprime = BitVector(recover_yprime(blocks[i, 1 : k + 1], blocks[i, k + 1 :]))
 assert yprime == apply_threshold(scheme.m, xi, 1)
 print("recovered OR outcome matches the solver matrix applied to the restriction")
 
 # The decoder screens every block and unions the surviving candidate sets.
 
-report = decode_blocks(scheme, outcomes)
+report = decode_blocks(scheme, y)
 accepted = [t for t in report.traces if t.accepted]
 print(f"\naccepted {len(accepted)} blocks; decoded: "
       f"{report.defectives.to_one_based()}")
-assert find_defectives(scheme, outcomes) == truth
+assert report.defectives == truth
 print("exact recovery:", report.defectives == truth)

@@ -8,13 +8,10 @@ from tgt import (
     build_scheme,
     construct_disjunct,
     construct_good,
-    dec_natgt,
+    decode_blocks,
     encode,
-    find_defectives_multiset,
-    flatten_outcomes,
     flip_positions,
     inject_errors,
-    split_outcome,
 )
 from tgt.semantics import SchemeParams
 
@@ -34,18 +31,17 @@ print(f"scheme certified for e={e}: h={scheme.h}, k={scheme.k}, t={scheme.tests}
 
 truth = DefectiveSet(rng.choice(32, size=4, replace=False).tolist())
 x = truth.to_vector(params.n)
-clean = flatten_outcomes(encode(scheme, x))
+clean = encode(scheme, x)
 
-clean_counts = find_defectives_multiset(
-    scheme, split_outcome(clean, scheme.h, scheme.k)
-).counts
+clean_counts = decode_blocks(scheme, clean).multiset.counts
 print("clean occurrence counts:",
       {j + 1: clean_counts[j] for j in truth.indices})
 
-# Uniform random flips.
+# Uniform random flips.  Items seen in at least e+1 accepted blocks are
+# the decoded set.
 
 noisy, flips = inject_errors(clean, e, rng)
-decoded = dec_natgt(scheme, split_outcome(noisy, scheme.h, scheme.k), e)
+decoded = decode_blocks(scheme, noisy).multiset.at_least(e + 1)
 print(f"\nuniform flips at {flips}: decoded {decoded.to_one_based()}, "
       f"exact={decoded == truth}")
 
@@ -54,10 +50,9 @@ print(f"\nuniform flips at {flips}: decoded {decoded.to_one_based()}, "
 
 adv = adversarial_flip_positions(scheme, x, e)
 noisy = flip_positions(clean, adv)
-noisy_blocks = split_outcome(noisy, scheme.h, scheme.k)
-dropped = {j + 1: find_defectives_multiset(scheme, noisy_blocks).counts.get(j, 0)
-           for j in truth.indices}
-decoded = dec_natgt(scheme, noisy_blocks, e)
+votes = decode_blocks(scheme, noisy).multiset
+dropped = {j + 1: votes.counts.get(j, 0) for j in truth.indices}
+decoded = votes.at_least(e + 1)
 print(f"adversarial flips at {adv}: counts now {dropped}, "
       f"decoded {decoded.to_one_based()}, exact={decoded == truth}")
 
@@ -66,6 +61,6 @@ print(f"adversarial flips at {adv}: counts now {dropped}, "
 # fabricated item can reach e+1 votes (often the consistency checks reject
 # corrupted blocks outright and even the un-voted union stays clean).
 
-loose = find_defectives_multiset(scheme, noisy_blocks).at_least(1)
+loose = votes.at_least(1)
 print(f"without voting (count >= 1): {len(loose)} candidates; "
       f"with voting (count >= {e + 1}): {len(decoded)}")

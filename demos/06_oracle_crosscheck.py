@@ -9,11 +9,9 @@ from tgt import (
     construct_disjunct,
     construct_good,
     cross_check,
-    dec_natgt,
+    decode_blocks,
     encode,
-    flatten_outcomes,
     inject_errors,
-    split_outcome,
 )
 from tgt.semantics import SchemeParams
 
@@ -30,7 +28,7 @@ scheme = build_scheme(g, m, params)
 print(f"scheme: t={scheme.tests} tests on n={params.n} items")
 
 truth = DefectiveSet([2, 5, 9])
-clean = flatten_outcomes(encode(scheme, truth.to_vector(params.n)))
+clean = encode(scheme, truth.to_vector(params.n))
 noisy, flips = inject_errors(clean, 1, rng)
 print(f"hidden set {truth.to_one_based()}, one flip at {flips}")
 
@@ -38,7 +36,7 @@ consistent = brute_force_decode(scheme.t, noisy, params.d, params.u, budget=1)
 print(f"consistency set size at budget 1: {len(consistent)}")
 print("truth contained:", truth in consistent)
 
-decoded = dec_natgt(scheme, split_outcome(noisy, scheme.h, scheme.k), 1)
+decoded = decode_blocks(scheme, noisy).multiset.at_least(2)
 report = cross_check(decoded, truth)
 print(f"decoder output {decoded.to_one_based()}: exact={report.exact}")
 

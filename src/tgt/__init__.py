@@ -1,7 +1,7 @@
 """Non-adaptive threshold group testing.
 
 Construction and verification of the pooling matrices, simulation of
-threshold test outcomes, and exact decoders for the error-free and
+threshold test outcomes, and one exact decoder for the error-free and
 error-tolerant regimes, with brute-force oracles for desk-scale
 validation.
 """
@@ -20,23 +20,17 @@ from .bitmat import (
     stack,
 )
 from .codec import (
-    BlockOutcome,
     CandidateMultiset,
     DecodeReport,
     Scheme,
     adversarial_flip_positions,
     build_scheme,
     cover_decode,
-    dec_natgt,
     decode_blocks,
     encode,
-    find_defectives,
-    find_defectives_multiset,
-    flatten_outcomes,
     load_bundle,
     recover_yprime,
     save_bundle,
-    split_outcome,
 )
 from .constructions import (
     CriticalZeroPair,
@@ -75,7 +69,7 @@ from .semantics import (
 
 __all__ = [
     "BitMatrix", "BitVector", "DefectiveSet", "SchemeParams", "Scheme",
-    "BlockOutcome", "CandidateMultiset", "DecodeReport", "ConsistencySet",
+    "CandidateMultiset", "DecodeReport", "ConsistencySet",
     "CrossCheckReport", "DisjunctCertificate", "GoodnessReport",
     "CriticalZeroPair", "ThresholdDisjunctReport",
     "complement", "restrict_row", "stack",
@@ -86,9 +80,8 @@ __all__ = [
     "verify_disjunct", "construct_disjunct", "verify_threshold_disjunct",
     "is_good_for", "construct_good", "validate_good", "critical_zero_cover",
     "disjunct_row_count", "good_row_count",
-    "build_scheme", "encode", "flatten_outcomes", "split_outcome",
-    "recover_yprime", "cover_decode", "decode_blocks", "find_defectives",
-    "find_defectives_multiset", "dec_natgt", "adversarial_flip_positions",
+    "build_scheme", "encode", "recover_yprime", "cover_decode",
+    "decode_blocks", "adversarial_flip_positions",
     "save_bundle", "load_bundle",
     "brute_force_decode", "cross_check",
     "TgtError", "DimensionError", "ParameterError", "ParseError",

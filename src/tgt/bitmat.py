@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionError, ParseError
 
-MATRIX_KINDS = ("disjunct", "good", "augmented", "final")
+MATRIX_KINDS = ("disjunct", "good", "final")
 
 _MAGIC_MAT = "TGTMAT"
 _MAGIC_VEC = "TGTVEC"
@@ -39,16 +39,27 @@ def _as_bit_array(data, ndim: int) -> np.ndarray:
     return a
 
 
-def _pack_bits(flat: np.ndarray) -> bytes:
-    """Pack a flat 0/1 array into 64-bit words, little-endian, LSB first.
+def pack_rows(a: np.ndarray) -> np.ndarray:
+    """Pack 0/1 entries along the last axis in file bit order (LSB first)."""
+    return np.packbits(a, axis=-1, bitorder="little")
 
-    Bit i of the stream lives in byte i//8 at position i%8, which is the
-    same layout for any word size with little-endian byte order.  The
-    payload is zero-padded to a whole number of 64-bit words.
+
+def packed_stream(rows: np.ndarray, cols: int) -> np.ndarray:
+    """Join rows made by `pack_rows` into the flat uint8 file payload.
+
+    Bit i of the row-major stream lives in byte i//8 at position i%8,
+    which is the same layout for any word size with little-endian byte
+    order.  The payload is zero-padded to a whole number of 64-bit words.
+    When cols is not a multiple of 8, the zero bits that end each packed
+    row are squeezed out by unpacking and packing again.
     """
-    packed = np.packbits(flat, bitorder="little").tobytes()
-    words = (flat.size + 63) // 64
-    return packed.ljust(words * 8, b"\x00")
+    if cols % 8 and rows.ndim > 1:
+        bits = np.unpackbits(rows, axis=-1, count=cols, bitorder="little")
+        rows = np.packbits(bits, bitorder="little")
+    flat = rows.reshape(-1)
+    if flat.size % 8:
+        flat = np.concatenate([flat, np.zeros(-flat.size % 8, dtype=np.uint8)])
+    return flat
 
 
 def _unpack_bits(payload: bytes, nbits: int) -> np.ndarray:
@@ -110,7 +121,7 @@ class BitVector:
         return np.flatnonzero(self._a)
 
     def packed(self) -> bytes:
-        return _pack_bits(self._a)
+        return packed_stream(pack_rows(self._a), len(self)).tobytes()
 
     def __eq__(self, other) -> bool:
         return (
@@ -181,7 +192,7 @@ class BitMatrix:
         return self._a
 
     def packed(self) -> bytes:
-        return _pack_bits(self._a.reshape(-1))
+        return packed_stream(pack_rows(self._a), self.cols).tobytes()
 
     def __eq__(self, other) -> bool:
         return (
@@ -275,22 +286,33 @@ def stack(top: BitMatrix, bottom: BitMatrix) -> BitMatrix:
 # Matrix files:  TGTMAT v1 rows=<r> cols=<c> kind=<k> params=<json>\n<base64>\n
 # Vector files:  TGTVEC v1 len=<n>\n<base64>\n
 #
-# The payload is the packed bit stream described in _pack_bits.
+# The payload is the packed bit stream described in packed_stream.
 
 
 def _dump_params(params: dict | None) -> str:
     return json.dumps(params or {}, sort_keys=True, separators=(",", ":"))
 
 
-def serialize_matrix(m: BitMatrix, kind: str = "final", params: dict | None = None) -> bytes:
+def _file(header: str, payload: bytes | np.ndarray) -> bytes:
+    return b"".join([header.encode("ascii"), b"\n", base64.b64encode(payload), b"\n"])
+
+
+def serialize_packed(
+    rows: int, cols: int, payload: bytes | np.ndarray, kind: str = "final",
+    params: dict | None = None,
+) -> bytes:
+    """Matrix file for a payload already laid out by `packed_stream`."""
     if kind not in MATRIX_KINDS:
         raise ValueError(f"kind must be one of {MATRIX_KINDS}, got {kind!r}")
-    header = (
-        f"{_MAGIC_MAT} {_VERSION} rows={m.rows} cols={m.cols} "
-        f"kind={kind} params={_dump_params(params)}"
+    return _file(
+        f"{_MAGIC_MAT} {_VERSION} rows={rows} cols={cols} "
+        f"kind={kind} params={_dump_params(params)}",
+        payload,
     )
-    body = base64.b64encode(m.packed()).decode("ascii")
-    return (header + "\n" + body + "\n").encode("ascii")
+
+
+def serialize_matrix(m: BitMatrix, kind: str = "final", params: dict | None = None) -> bytes:
+    return serialize_packed(m.rows, m.cols, m.packed(), kind, params)
 
 
 def _parse_field(token: str, name: str) -> str:
@@ -351,9 +373,7 @@ def deserialize_matrix(data: bytes) -> BitMatrix:
 
 
 def serialize_vector(v: BitVector) -> bytes:
-    header = f"{_MAGIC_VEC} {_VERSION} len={len(v)}"
-    body = base64.b64encode(v.packed()).decode("ascii")
-    return (header + "\n" + body + "\n").encode("ascii")
+    return _file(f"{_MAGIC_VEC} {_VERSION} len={len(v)}", v.packed())
 
 
 def deserialize_vector(data: bytes) -> BitVector:

@@ -28,10 +28,8 @@ from .codec import (
     adversarial_flip_positions,
     decode_blocks,
     encode,
-    flatten_outcomes,
     load_bundle,
     save_bundle,
-    split_outcome,
 )
 from .constructions import (
     construct_disjunct,
@@ -122,7 +120,7 @@ def run_trials(scheme: Scheme, trials: int, seed: int, run_e: int,
         truth = _sample_defectives(rng, params.n, size)
         x = truth.to_vector(params.n)
         t0 = time.perf_counter_ns()
-        flat = flatten_outcomes(encode(scheme, x))
+        flat = encode(scheme, x)
         t1 = time.perf_counter_ns()
         if run_e and adversarial:
             flips = adversarial_flip_positions(scheme, x, run_e)
@@ -130,8 +128,7 @@ def run_trials(scheme: Scheme, trials: int, seed: int, run_e: int,
         else:
             observed, flips = inject_errors(flat, run_e, rng)
         t2 = time.perf_counter_ns()
-        blocks = split_outcome(observed, scheme.h, scheme.k)
-        report = decode_blocks(scheme, blocks)
+        report = decode_blocks(scheme, observed)
         decoded = report.multiset.at_least(run_e + 1)
         t3 = time.perf_counter_ns()
         check = cross_check(decoded, truth)
@@ -248,16 +245,27 @@ def _load_scheme(args) -> tuple[Scheme, dict]:
     return load_bundle(args.bundle)
 
 
+def _parse_defectives(text: str, n: int) -> DefectiveSet:
+    """Comma-separated 1-based item indices, each in 1..n."""
+    try:
+        items = [int(s) for s in text.split(",")]
+    except ValueError as exc:
+        raise ParseError(f"--defectives needs comma-separated integers, got {text!r}") from exc
+    outside = [i for i in items if not 1 <= i <= n]
+    if outside:
+        raise ParameterError(f"item indices must be in 1..{n}, got {outside}")
+    return DefectiveSet.from_one_based(items)
+
+
 def cmd_encode(args) -> int:
     scheme, _ = _load_scheme(args)
     if args.x:
         x = deserialize_vector(Path(args.x).read_bytes())
     elif args.defectives:
-        items = DefectiveSet.from_one_based(int(s) for s in args.defectives.split(","))
-        x = items.to_vector(scheme.params.n)
+        x = _parse_defectives(args.defectives, scheme.params.n).to_vector(scheme.params.n)
     else:
         raise ParameterError("need --x or --defectives")
-    flat = flatten_outcomes(encode(scheme, x))
+    flat = encode(scheme, x)
     Path(args.out).write_bytes(serialize_vector(flat))
     print(json.dumps({"out": args.out, "tests": len(flat), "positives": flat.weight()},
                      sort_keys=True))
@@ -268,8 +276,7 @@ def cmd_decode(args) -> int:
     scheme, manifest = _load_scheme(args)
     y = deserialize_vector(Path(args.y).read_bytes())
     run_e = manifest["e"] if args.e is None else args.e
-    blocks = split_outcome(y, scheme.h, scheme.k)
-    report = decode_blocks(scheme, blocks)
+    report = decode_blocks(scheme, y)
     decoded = report.multiset.at_least(run_e + 1)
     payload = {
         "defectives": decoded.to_one_based(),

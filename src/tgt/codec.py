@@ -1,4 +1,4 @@
-"""Encoder and decoders for the two-matrix threshold testing scheme.
+"""Encoder and decoder for the two-matrix threshold testing scheme.
 
 A scheme couples a locator matrix G (h x n) with a solver matrix M
 (k x n, certified (d+1)-disjunct).  The full test matrix T interleaves,
@@ -6,13 +6,15 @@ for each row i of G, one block of 2k+1 pools:
 
     [ G_i ;  M masked by G_i ;  complement(M) masked by G_i ]
 
-so T has (2k+1) h rows.  Under threshold-u semantics the block for row i
-observes the restriction of the item vector to supp(G_i).  When that
-restriction has weight exactly u, the three recovery rules turn the pair
-of threshold outcome blocks into the boolean-OR outcome of M, which the
-cover decoder inverts exactly.  Blocks whose restriction has a different
+so T has (2k+1) h rows.  T holds nothing beyond G and M, so a scheme
+stores only those two and derives T when it is needed.  Outcomes are one
+flat vector in the row order of T.  Under threshold-u semantics the
+block for row i observes the restriction of the item vector to
+supp(G_i).  When that restriction has weight exactly u, the three
+recovery rules turn the pair of threshold outcome blocks into the
+boolean-OR outcome of M, which the cover decoder inverts exactly.  Blocks whose restriction has a different
 weight are screened out by the size and OR-consistency checks; the
-multiset variant keeps per-item occurrence counts so that up to e
+decoder also keeps per-item occurrence counts so that up to e
 erroneous outcomes can be outvoted (an error corrupts at most one block,
 so a frequency threshold of e+1 separates true items from fabricated
 ones).
@@ -21,6 +23,7 @@ ones).
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,40 +35,26 @@ from .bitmat import (
     BitVector,
     DefectiveSet,
     load_matrix,
+    pack_rows,
+    packed_stream,
     serialize_matrix,
+    serialize_packed,
 )
 from .errors import CoverOverflowError, DimensionError, ParameterError, ParseError
 from .semantics import SchemeParams
 
 
 class Scheme:
-    """Immutable bundle of (params, G, M, complement(M), T)."""
+    """Immutable (params, G, M).  The test matrix T is derived from G and M."""
 
-    __slots__ = ("params", "g", "m", "m_bar", "t", "_g_f", "_m_f", "_mbar_f")
+    __slots__ = ("params", "g", "m")
 
     def __init__(self, params: SchemeParams, g: BitMatrix, m: BitMatrix):
         if g.cols != m.cols:
             raise DimensionError(f"column mismatch: G has {g.cols}, M has {m.cols}")
         if g.cols != params.n:
             raise DimensionError(f"params.n={params.n} but matrices have {g.cols} columns")
-        ga, ma = g.to_array(), m.to_array()
-        mbar = 1 - ma
-        blocks = []
-        for i in range(g.rows):
-            mask = ga[i]
-            blocks.append(mask[None, :])
-            blocks.append(ma & mask)
-            blocks.append(mbar & mask)
-        for name, value in (
-            ("params", params),
-            ("g", g),
-            ("m", m),
-            ("m_bar", BitMatrix(mbar)),
-            ("t", BitMatrix(np.vstack(blocks))),
-            ("_g_f", ga.astype(np.float32)),
-            ("_m_f", ma.astype(np.float32)),
-            ("_mbar_f", mbar.astype(np.float32)),
-        ):
+        for name, value in (("params", params), ("g", g), ("m", m)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -83,76 +72,62 @@ class Scheme:
     def tests(self) -> int:
         return (2 * self.k + 1) * self.h
 
+    @property
+    def t(self) -> BitMatrix:
+        """The dense (2k+1)h x n test matrix, built anew on every access."""
+        blocks = self.g.to_array()[:, None, :] & _block_pattern(self.m)[None]
+        return BitMatrix(blocks.reshape(self.tests, self.params.n))
+
+
+def _block_pattern(m: BitMatrix) -> np.ndarray:
+    """Rows [1; M; complement(M)]; block i of T is this pattern masked by G_i."""
+    ma = m.to_array()
+    return np.vstack([np.ones((1, ma.shape[1]), dtype=np.uint8), ma, 1 - ma])
+
 
 def build_scheme(g: BitMatrix, m: BitMatrix, params: SchemeParams) -> Scheme:
     return Scheme(params, g, m)
 
 
-@dataclass(frozen=True)
-class BlockOutcome:
-    """Outcomes of one block: the locator bit and the two k-bit halves."""
+def encode(scheme: Scheme, x: BitVector) -> BitVector:
+    """Apply every test of T to x at threshold u.
 
-    y: int
-    y_block: BitVector
-    y_bar_block: BitVector
-
-
-def encode(scheme: Scheme, x: BitVector) -> list[BlockOutcome]:
-    """Run all tests of the scheme against an item vector, blockwise.
-
-    Equivalent to applying T row by row at threshold u, just grouped per
-    locator row (and much faster, since the block structure lets the
-    intersection counts be computed as two small matrix products).
+    Bits are ordered [y_i, y-block, ybar-block] per locator row i, as the
+    rows of T.  Only the columns in supp(x) can add to a count, so the
+    counts are products over those columns; float32 keeps them exact.
     """
     if len(x) != scheme.params.n:
         raise DimensionError(f"item vector has length {len(x)}, scheme needs {scheme.params.n}")
-    u = scheme.params.u
-    xf = x.to_array().astype(np.float32)
-    g_counts = scheme._g_f @ xf
-    counts_m = (scheme._m_f * xf) @ scheme._g_f.T  # (k, h)
-    counts_mbar = (scheme._mbar_f * xf) @ scheme._g_f.T
-    outcomes = []
-    for i in range(scheme.h):
-        outcomes.append(
-            BlockOutcome(
-                int(g_counts[i] >= u),
-                BitVector((counts_m[:, i] >= u).astype(np.uint8)),
-                BitVector((counts_mbar[:, i] >= u).astype(np.uint8)),
-            )
-        )
-    return outcomes
+    u, k = scheme.params.u, scheme.k
+    support = x.support()
+    g = scheme.g.to_array()[:, support].astype(np.float32)
+    m = scheme.m.to_array()[:, support].astype(np.float32)
+    g_counts = g.sum(axis=1)
+    counts_m = g @ m.T  # (h, k): |G_i & M_r & x|
+    y = np.empty((scheme.h, 2 * k + 1), dtype=np.uint8)
+    y[:, 0] = g_counts >= u
+    y[:, 1 : k + 1] = counts_m >= u
+    y[:, k + 1 :] = g_counts[:, None] - counts_m >= u
+    return BitVector(y.reshape(-1))
 
 
-def flatten_outcomes(outcomes: list[BlockOutcome]) -> BitVector:
-    """Concatenate blocks as [y_i, y-block, ybar-block] per locator row."""
-    parts = []
-    for block in outcomes:
-        parts.append(np.array([block.y], dtype=np.uint8))
-        parts.append(block.y_block.to_array())
-        parts.append(block.y_bar_block.to_array())
-    return BitVector(np.concatenate(parts))
+# flatten_outcomes and split_outcome are pass-throughs now that outcomes
+# are one flat vector; the benchmark in perfbench/ still calls them by name.
 
 
-def split_outcome(flat: BitVector, h: int, k: int) -> list[BlockOutcome]:
-    """Inverse of flatten_outcomes for an (2k+1)h-bit vector."""
-    stride = 2 * k + 1
-    if len(flat) != stride * h:
-        raise DimensionError(f"outcome has {len(flat)} bits, expected {stride * h}")
-    a = flat.to_array()
-    out = []
-    for i in range(h):
-        base = i * stride
-        out.append(
-            BlockOutcome(
-                int(a[base]),
-                BitVector(a[base + 1 : base + 1 + k]),
-                BitVector(a[base + 1 + k : base + stride]),
-            )
-        )
-    return out
+def flatten_outcomes(y: BitVector) -> BitVector:
+    """Return y unchanged: outcomes are already one flat vector."""
+    return y
 
 
-def recover_yprime(block: BlockOutcome) -> BitVector:
+def split_outcome(y: BitVector, h: int, k: int) -> BitVector:
+    """Check that y has (2k+1)h bits and return it unchanged."""
+    if len(y) != (2 * k + 1) * h:
+        raise DimensionError(f"outcome has {len(y)} bits, expected {(2 * k + 1) * h}")
+    return y
+
+
+def recover_yprime(y_block: np.ndarray, y_bar_block: np.ndarray) -> np.ndarray:
     """Recover the boolean-OR outcome of M from a block's two halves.
 
     Per position: a positive threshold outcome stays positive; a negative
@@ -161,12 +136,11 @@ def recover_yprime(block: BlockOutcome) -> BitVector:
     negative when the defectives straddle the pool and its complement.
     Equivalently y' = y OR NOT ybar.  The identity y' = M (OR) x holds
     precisely when the block's restricted item vector has weight u.
+    Works elementwise on 0/1 arrays of any equal shape.
     """
-    yb = block.y_block.to_array()
-    ybar = block.y_bar_block.to_array()
-    if yb.size != ybar.size:
-        raise DimensionError("block halves have different lengths")
-    return BitVector(yb | (1 - ybar))
+    if y_block.shape != y_bar_block.shape:
+        raise DimensionError("block halves have different shapes")
+    return y_block | (1 - y_bar_block)
 
 
 def cover_decode(m: BitMatrix, yprime: BitVector, cap: int | None = None) -> DefectiveSet:
@@ -205,6 +179,11 @@ class CandidateMultiset:
         return DefectiveSet(self.counts.keys())
 
     def at_least(self, threshold: int) -> DefectiveSet:
+        """Items in at least `threshold` >= 1 accepted blocks.  With G good at
+        budget 2e and at most e flipped outcomes, e+1 keeps exactly the
+        true defectives."""
+        if threshold < 1:
+            raise ParameterError(f"vote threshold must be at least 1, got {threshold}")
         return DefectiveSet(j for j, c in self.counts.items() if c >= threshold)
 
 
@@ -216,80 +195,52 @@ class DecodeReport:
     status: str  # "ok" | "no-positive-tests" | "all-blocks-rejected"
 
 
-def decode_blocks(scheme: Scheme, outcomes: list[BlockOutcome]) -> DecodeReport:
-    """Run the per-block decoding loop and keep a full audit trace.
+def decode_blocks(scheme: Scheme, y: BitVector) -> DecodeReport:
+    """Decode a (2k+1)h-bit outcome block by block, keeping an audit trace.
 
     For each positive locator row: recover the OR outcome, cover-decode
     it (capped at d+1 candidates), and accept the candidate set only if
     it has exactly u items whose pooled columns reproduce the recovered
-    outcome.  Accepted sets accumulate into both a plain union and a
-    multiset of occurrence counts.
+    outcome.  Accepted sets accumulate into both a plain union
+    (`defectives`) and a multiset of occurrence counts, whose
+    `at_least(e + 1)` is the set that tolerates e flipped outcomes.
     """
-    if len(outcomes) != scheme.h:
-        raise DimensionError(f"got {len(outcomes)} blocks, scheme has {scheme.h}")
+    h, k = scheme.h, scheme.k
+    if len(y) != (2 * k + 1) * h:
+        raise DimensionError(f"outcome has {len(y)} bits, scheme has {(2 * k + 1) * h} tests")
     u = scheme.params.u
     cap = scheme.params.d + 1
-    k = scheme.k
     ma = scheme.m.to_array()
+    view = y.to_array().reshape(h, 2 * k + 1)
+    positive = np.flatnonzero(view[:, 0])
+    yprime = recover_yprime(view[positive, 1 : k + 1], view[positive, k + 1 :])
+    # hits[r, j] = number of M-rows containing j whose recovered outcome is 0;
+    # column j survives the cover decode of positive block r iff hits[r, j] == 0.
+    hits = (1 - yprime).astype(np.float32) @ ma.astype(np.float32)
 
-    y_scalars = np.array([b.y for b in outcomes], dtype=np.uint8)
-    yb = np.stack([b.y_block.to_array() for b in outcomes])
-    ybar = np.stack([b.y_bar_block.to_array() for b in outcomes])
-    if yb.shape[1] != k:
-        raise DimensionError(f"block length {yb.shape[1]} does not match k={k}")
-    yprime = yb | (1 - ybar)
-    # hits[i, j] = number of M-rows containing j whose recovered outcome is 0;
-    # column j survives block i's cover decode iff hits[i, j] == 0.
-    hits = (1 - yprime).astype(np.float32) @ scheme._m_f
-
-    traces = []
+    traces = [BlockTrace(i, False, False, "negative") for i in range(h)]
     counts: Counter[int] = Counter()
-    for i in range(scheme.h):
-        if not y_scalars[i]:
-            traces.append(BlockTrace(i, False, False, "negative"))
-            continue
-        candidates = np.flatnonzero(hits[i] == 0)
+    for r, i in enumerate(positive.tolist()):
+        candidates = np.flatnonzero(hits[r] == 0)
         if candidates.size > cap:
-            traces.append(BlockTrace(i, True, False, "overflow"))
-            continue
-        if candidates.size != u:
-            traces.append(BlockTrace(i, True, False, "size"))
-            continue
-        if not np.array_equal(ma[:, candidates].max(axis=1), yprime[i]):
-            traces.append(BlockTrace(i, True, False, "or-mismatch"))
-            continue
-        items = tuple(int(j) for j in candidates)
-        counts.update(items)
-        traces.append(BlockTrace(i, True, True, "accepted", items))
+            traces[i] = BlockTrace(i, True, False, "overflow")
+        elif candidates.size != u:
+            traces[i] = BlockTrace(i, True, False, "size")
+        elif not np.array_equal(ma[:, candidates].max(axis=1), yprime[r]):
+            traces[i] = BlockTrace(i, True, False, "or-mismatch")
+        else:
+            items = tuple(candidates.tolist())
+            counts.update(items)
+            traces[i] = BlockTrace(i, True, True, "accepted", items)
 
-    if any(t.accepted for t in traces):
+    if counts:
         status = "ok"
-    elif not y_scalars.any():
+    elif not positive.size:
         status = "no-positive-tests"
     else:
         status = "all-blocks-rejected"
     multiset = CandidateMultiset(dict(sorted(counts.items())))
     return DecodeReport(multiset.support(), multiset, tuple(traces), status)
-
-
-def find_defectives(scheme: Scheme, outcomes: list[BlockOutcome]) -> DefectiveSet:
-    """Union of the accepted per-block candidate sets (no error tolerance)."""
-    return decode_blocks(scheme, outcomes).defectives
-
-
-def find_defectives_multiset(scheme: Scheme, outcomes: list[BlockOutcome]) -> CandidateMultiset:
-    """Accepted candidate sets with multiplicity; total size is at most u*h."""
-    return decode_blocks(scheme, outcomes).multiset
-
-
-def dec_natgt(scheme: Scheme, outcomes: list[BlockOutcome], e: int) -> DefectiveSet:
-    """Error-tolerant decoding: keep items seen in at least e+1 accepted
-    blocks.  With the locator matrix good at budget 2e and at most e
-    flipped outcomes, true defectives clear the bar and fabricated ones
-    cannot."""
-    if e < 0:
-        raise ParameterError(f"error budget must be nonnegative, got {e}")
-    return find_defectives_multiset(scheme, outcomes).at_least(e + 1)
 
 
 def adversarial_flip_positions(scheme: Scheme, x: BitVector, e: int) -> tuple[int, ...]:
@@ -327,6 +278,25 @@ def _header_params(params: SchemeParams, seed: int, c: float, c_g: float) -> dic
     return {"d": params.d, "u": params.u, "e": params.e, "seed": seed, "c": c, "c_g": c_g}
 
 
+def _t_file(scheme: Scheme, header: dict) -> bytes:
+    """T.mat bytes, made from the packed rows of G and [1; M; complement(M)]
+    without building T: packed T row (i, r) is packed G_i AND packed pattern r."""
+    g = pack_rows(scheme.g.to_array())
+    pattern = pack_rows(_block_pattern(scheme.m))
+    # AND whole words at a time: numpy is slow on many short byte rows.
+    word = np.dtype(f"u{math.gcd(g.shape[1], 8)}")
+    rows = (g.view(word)[:, None, :] & pattern.view(word)[None]).view(np.uint8)
+    payload = packed_stream(rows.reshape(-1, g.shape[1]), scheme.params.n)
+    return serialize_packed(scheme.tests, scheme.params.n, payload, "final", header)
+
+
+def _read(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
 def save_bundle(
     directory: str | Path,
     scheme: Scheme,
@@ -346,7 +316,7 @@ def save_bundle(
     header = _header_params(scheme.params, seed, c, c_g)
     (directory / "G.mat").write_bytes(serialize_matrix(scheme.g, "good", header))
     (directory / "M.mat").write_bytes(serialize_matrix(scheme.m, "disjunct", header))
-    (directory / "T.mat").write_bytes(serialize_matrix(scheme.t, "final", header))
+    (directory / "T.mat").write_bytes(_t_file(scheme, header))
     manifest = {
         "format": "tgt-scheme-v1",
         "n": scheme.params.n,
@@ -369,24 +339,30 @@ def save_bundle(
 
 
 def load_bundle(directory: str | Path) -> tuple[Scheme, dict]:
-    """Rebuild a scheme from a bundle directory, checking T for integrity."""
+    """Rebuild a scheme from a bundle directory.
+
+    T.mat must equal, byte for byte, the file save_bundle would write for
+    the stored G and M under G.mat's header parameters.
+    """
     directory = Path(directory)
     try:
-        manifest = json.loads((directory / "scheme.json").read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        manifest = json.loads(_read(directory / "scheme.json"))
+    except ValueError as exc:
         raise ParseError(f"cannot read scheme manifest in {directory}: {exc}") from exc
     if manifest.get("format") != "tgt-scheme-v1":
         raise ParseError(f"unknown scheme format {manifest.get('format')!r}")
-    params = SchemeParams(
-        n=manifest["n"], d=manifest["d"], u=manifest["u"],
-        e=manifest["e"], p=manifest["p"],
-    )
-    g, kind_g, _ = load_matrix((directory / "G.mat").read_bytes())
-    m, kind_m, _ = load_matrix((directory / "M.mat").read_bytes())
+    try:
+        params = SchemeParams(
+            n=manifest["n"], d=manifest["d"], u=manifest["u"],
+            e=manifest["e"], p=manifest["p"],
+        )
+    except KeyError as exc:
+        raise ParseError(f"scheme manifest in {directory} has no {exc} entry") from exc
+    g, kind_g, header = load_matrix(_read(directory / "G.mat"))
+    m, kind_m, _ = load_matrix(_read(directory / "M.mat"))
     if kind_g != "good" or kind_m != "disjunct":
         raise ParseError(f"unexpected matrix kinds {kind_g!r}/{kind_m!r} in bundle")
     scheme = Scheme(params, g, m)
-    t_stored, _, _ = load_matrix((directory / "T.mat").read_bytes())
-    if t_stored != scheme.t:
+    if _read(directory / "T.mat") != _t_file(scheme, header):
         raise ParseError("stored final matrix does not match G and M")
     return scheme, manifest

@@ -46,15 +46,6 @@ class SchemeParams:
     def d0(self) -> int:
         return max(self.u, self.d - self.u)
 
-    @property
-    def ell(self) -> int:
-        return self.u - 1
-
-    @property
-    def gap(self) -> int:
-        # Positive threshold u, negative threshold u-1: no gap.
-        return self.u - self.ell - 1
-
 
 def threshold_test(row: BitVector, x: BitVector, u: int) -> int:
     """1 iff the pool `row` contains at least u items of x."""

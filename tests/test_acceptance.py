@@ -13,6 +13,7 @@ import pytest
 
 from tgt import (
     BitMatrix,
+    BitVector,
     DefectiveSet,
     adversarial_flip_positions,
     apply_threshold,
@@ -23,17 +24,14 @@ from tgt import (
     construct_good,
     decode_blocks,
     encode,
-    flatten_outcomes,
     flip_positions,
     inject_errors,
     is_good_for,
     recover_yprime,
-    split_outcome,
     verify_disjunct,
     verify_threshold_disjunct,
 )
 from tgt.cli import main
-from tgt.codec import BlockOutcome
 from tgt.semantics import SchemeParams
 
 SEED = 20250810
@@ -112,9 +110,9 @@ def tolerant_runs():
                 rng = np.random.default_rng(SEED ^ (hash((point, e)) & 0xFFFF) ^ (trial + 1))
                 truth = _sample(rng, n, u, d)
                 x = truth.to_vector(n)
-                clean = flatten_outcomes(encode(scheme, x))
+                clean = encode(scheme, x)
 
-                clean_report = decode_blocks(scheme, split_outcome(clean, scheme.h, scheme.k))
+                clean_report = decode_blocks(scheme, clean)
                 for j in truth:
                     if clean_report.multiset.counts.get(j, 0) <= 2 * e:
                         stats["clean_counts_ok"] = False
@@ -126,7 +124,7 @@ def tolerant_runs():
                 else:
                     noisy, flips = inject_errors(clean, e, rng)
                     assert len(flips) == e
-                report = decode_blocks(scheme, split_outcome(noisy, scheme.h, scheme.k))
+                report = decode_blocks(scheme, noisy)
                 decoded = report.multiset.at_least(e + 1)
                 if report.multiset.total() > u * scheme.h:
                     stats["multiset_ok"] = False
@@ -161,10 +159,10 @@ def test_criterion_1_rule_table_soundness():
         mbar = complement(m)
         for _ in range(100):
             x = DefectiveSet(rng.choice(n, size=u, replace=False).tolist()).to_vector(n)
-            block = BlockOutcome(
-                1, apply_threshold(m, x, u), apply_threshold(mbar, x, u)
+            yprime = recover_yprime(
+                apply_threshold(m, x, u).to_array(), apply_threshold(mbar, x, u).to_array()
             )
-            assert recover_yprime(block) == apply_threshold(m, x, 1)
+            assert BitVector(yprime) == apply_threshold(m, x, 1)
             blocks += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
@@ -231,16 +229,14 @@ def test_criterion_6_oracle_agreement():
         for trial in range(trials):
             rng = np.random.default_rng(SEED ^ (n * 1000) ^ trial)
             truth = _sample(rng, n, u, d)
-            clean = flatten_outcomes(encode(scheme, truth.to_vector(n)))
-            noisy, _ = inject_errors(clean, e, rng)
+            noisy, _ = inject_errors(encode(scheme, truth.to_vector(n)), e, rng)
             consistent = brute_force_decode(scheme.t, noisy, d, u, budget=e)
             trials_total += 1
             assert truth in consistent
             contained += 1
             if consistent.is_singleton():
                 singletons += 1
-                blocks = split_outcome(noisy, scheme.h, scheme.k)
-                decoded = decode_blocks(scheme, blocks).multiset.at_least(e + 1)
+                decoded = decode_blocks(scheme, noisy).multiset.at_least(e + 1)
                 assert decoded == consistent.candidates[0]
     elapsed = time.perf_counter() - t0
     assert contained == trials_total

@@ -150,9 +150,13 @@ class TestSerialization:
 
     def test_byte_identical_reserialization(self):
         m = BitMatrix.random(np.random.default_rng(4), 3, 5, 0.5)
-        data = serialize_matrix(m, "augmented", {"d": 2, "seed": 9})
+        data = serialize_matrix(m, "good", {"d": 2, "seed": 9})
         m2, kind, params = load_matrix(data)
         assert serialize_matrix(m2, kind, params) == data
+        with pytest.raises(ValueError):
+            serialize_matrix(m, "augmented")
+        with pytest.raises(ParseError):
+            load_matrix(data.replace(b"kind=good", b"kind=augmented"))
 
     def test_empty_payload(self):
         with pytest.raises(ParseError):

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -215,4 +216,39 @@ class TestBench:
 
     def test_empty_grid_usage_error(self, capsys):
         code, _ = run(capsys, "bench", "--n", "", "--d", "3", "--u", "2")
+        assert code == 2
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("items", ["0,3", "3,99", "3,x"])
+    def test_bad_defectives(self, bundle, tmp_path, capsys, items):
+        code, _ = run(capsys, "encode", "--bundle", str(bundle),
+                      "--defectives", items, "--out", str(tmp_path / "y.vec"))
+        assert code == 2
+
+    @pytest.mark.parametrize("name", ["G.mat", "M.mat", "T.mat"])
+    def test_bundle_missing_matrix(self, bundle, tmp_path, capsys, name):
+        copy = tmp_path / "b"
+        shutil.copytree(bundle, copy)
+        (copy / name).unlink()
+        code, _ = run(capsys, "encode", "--bundle", str(copy),
+                      "--defectives", "2,9", "--out", str(tmp_path / "y.vec"))
+        assert code == 2
+
+    def test_manifest_missing_key(self, bundle, tmp_path, capsys):
+        copy = tmp_path / "b"
+        shutil.copytree(bundle, copy)
+        manifest = json.loads((copy / "scheme.json").read_text())
+        del manifest["u"]
+        (copy / "scheme.json").write_text(json.dumps(manifest))
+        code, _ = run(capsys, "encode", "--bundle", str(copy),
+                      "--defectives", "2,9", "--out", str(tmp_path / "y.vec"))
+        assert code == 2
+
+    def test_negative_error_budget(self, bundle, tmp_path, capsys):
+        y_path = tmp_path / "y.vec"
+        run(capsys, "encode", "--bundle", str(bundle),
+            "--defectives", "2,9", "--out", str(y_path))
+        code, _ = run(capsys, "decode", "--bundle", str(bundle),
+                      "--y", str(y_path), "--e", "-1")
         assert code == 2

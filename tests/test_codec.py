@@ -5,26 +5,24 @@ from tgt import (
     BitMatrix,
     BitVector,
     DefectiveSet,
+    Scheme,
     adversarial_flip_positions,
     apply_threshold,
     build_scheme,
     construct_disjunct,
     cover_decode,
-    dec_natgt,
     decode_blocks,
     encode,
-    find_defectives,
-    find_defectives_multiset,
-    flatten_outcomes,
     flip_positions,
     inject_errors,
     load_bundle,
+    load_matrix,
     recover_yprime,
     save_bundle,
-    split_outcome,
+    serialize_matrix,
 )
-from tgt.codec import BlockOutcome
-from tgt.errors import CoverOverflowError, DimensionError, ParseError
+from tgt.codec import flatten_outcomes, split_outcome
+from tgt.errors import CoverOverflowError, DimensionError, ParameterError, ParseError
 from tgt.oracle import brute_force_decode
 from tgt.semantics import SchemeParams
 
@@ -37,6 +35,11 @@ def worked_scheme():
     return build_scheme(g, m, params)
 
 
+def blocks(scheme, y):
+    """The (h, 2k+1) view of a flat outcome: [y_i, y-block, ybar-block] rows."""
+    return y.to_array().reshape(scheme.h, 2 * scheme.k + 1)
+
+
 class TestBuildScheme:
     def test_row_count(self):
         params = SchemeParams(n=8, d=2, u=2)
@@ -44,6 +47,11 @@ class TestBuildScheme:
         m = BitMatrix.random(np.random.default_rng(1), 3, 8, 0.5)
         scheme = build_scheme(g, m, params)
         assert scheme.t.rows == 14 == (2 * scheme.k + 1) * scheme.h
+
+    def test_holds_only_g_and_m(self):
+        scheme = worked_scheme()
+        assert Scheme.__slots__ == ("params", "g", "m")
+        assert scheme.t == scheme.t and scheme.t is not scheme.t
 
     def test_all_ones_locator_row_copies_m(self):
         scheme = worked_scheme()
@@ -67,7 +75,7 @@ class TestBuildScheme:
                 )
                 assert np.array_equal(
                     t[base + 1 + scheme.k + r],
-                    scheme.m_bar.to_array()[r] & g.to_array()[i],
+                    (1 - m.to_array()[r]) & g.to_array()[i],
                 )
 
     def test_column_mismatch(self):
@@ -79,55 +87,57 @@ class TestBuildScheme:
 class TestEncode:
     def test_zero_vector(self):
         scheme = worked_scheme()
-        outcomes = encode(scheme, BitVector.zeros(4))
-        assert flatten_outcomes(outcomes).weight() == 0
+        assert encode(scheme, BitVector.zeros(4)).weight() == 0
 
     def test_worked_instance(self):
         scheme = worked_scheme()
-        [block] = encode(scheme, DefectiveSet([0, 1]).to_vector(4))
-        assert block.y == 1
-        assert block.y_block == BitVector([1, 0, 0])
-        assert block.y_bar_block == BitVector([0, 0, 1])
+        y = encode(scheme, DefectiveSet([0, 1]).to_vector(4))
+        # [y_1, y-block, ybar-block]
+        assert y == BitVector([1, 1, 0, 0, 0, 0, 1])
 
     def test_subthreshold_block_is_all_negative(self, scheme16):
         scheme, _ = scheme16
         x = DefectiveSet([3]).to_vector(16)  # one defective < u anywhere
-        for block in encode(scheme, x):
-            assert block.y == 0
-            assert block.y_block.weight() == 0
+        for block in blocks(scheme, encode(scheme, x)):
+            assert block[0] == 0
+            assert block[1 : scheme.k + 1].sum() == 0
 
     def test_matches_full_matrix_application(self, scheme16):
         scheme, _ = scheme16
         rng = np.random.default_rng(3)
+        xs = [BitVector.ones(16)]  # any vector encodes, not only |x| <= d
         for _ in range(5):
             size = int(rng.integers(0, 4))
-            x = DefectiveSet(rng.choice(16, size=size, replace=False).tolist()).to_vector(16)
-            flat = flatten_outcomes(encode(scheme, x))
-            assert flat == apply_threshold(scheme.t, x, scheme.params.u)
+            xs.append(DefectiveSet(rng.choice(16, size=size, replace=False).tolist()).to_vector(16))
+        for x in xs:
+            assert encode(scheme, x) == apply_threshold(scheme.t, x, scheme.params.u)
 
     def test_split_inverts_flatten(self, scheme16):
         scheme, _ = scheme16
-        x = DefectiveSet([1, 8, 13]).to_vector(16)
-        outcomes = encode(scheme, x)
-        flat = flatten_outcomes(outcomes)
-        assert split_outcome(flat, scheme.h, scheme.k) == outcomes
+        y = encode(scheme, DefectiveSet([1, 8, 13]).to_vector(16))
+        assert split_outcome(flatten_outcomes(y), scheme.h, scheme.k) == y
+        with pytest.raises(DimensionError):
+            split_outcome(y, scheme.h + 1, scheme.k)
 
 
 class TestRecoverYprime:
     def test_rule_table(self):
-        block = BlockOutcome(1, BitVector([1, 0, 0, 1]), BitVector([1, 1, 0, 0]))
+        y, ybar = np.array([1, 0, 0, 1], np.uint8), np.array([1, 1, 0, 0], np.uint8)
         # (y, ybar): (1,1)->1, (0,1)->0, (0,0)->1, (1,0)->1
-        assert recover_yprime(block) == BitVector([1, 0, 1, 1])
+        assert recover_yprime(y, ybar).tolist() == [1, 0, 1, 1]
 
     def test_all_ones_block(self):
-        block = BlockOutcome(1, BitVector.ones(5), BitVector.zeros(5))
-        assert recover_yprime(block) == BitVector.ones(5)
+        assert recover_yprime(np.ones(5, np.uint8), np.zeros(5, np.uint8)).tolist() == [1] * 5
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            recover_yprime(np.ones(5, np.uint8), np.zeros(4, np.uint8))
 
     def test_worked_instance_equals_or_outcome(self):
         scheme = worked_scheme()
         x = DefectiveSet([0, 1]).to_vector(4)
-        [block] = encode(scheme, x)
-        yprime = recover_yprime(block)
+        [block] = blocks(scheme, encode(scheme, x))
+        yprime = BitVector(recover_yprime(block[1:4], block[4:7]))
         assert yprime == BitVector([1, 1, 0])
         assert yprime == apply_threshold(scheme.m, x, 1)
 
@@ -138,12 +148,12 @@ class TestRecoverYprime:
         for _ in range(20):
             size = int(rng.integers(2, 4))
             x = DefectiveSet(rng.choice(16, size=size, replace=False).tolist()).to_vector(16)
-            outcomes = encode(scheme, x)
-            for i, block in enumerate(outcomes):
+            k = scheme.k
+            for i, block in enumerate(blocks(scheme, encode(scheme, x))):
                 xi = x.to_array() & scheme.g.to_array()[i]
                 if int(xi.sum()) == scheme.params.u:
                     expected = apply_threshold(scheme.m, BitVector(xi), 1)
-                    assert recover_yprime(block) == expected
+                    assert BitVector(recover_yprime(block[1 : k + 1], block[k + 1 :])) == expected
                     checked += 1
         assert checked > 50
 
@@ -180,8 +190,7 @@ class TestCoverDecode:
 class TestFindDefectives:
     def test_all_negative_outcome(self, scheme16):
         scheme, _ = scheme16
-        outcomes = encode(scheme, BitVector.zeros(16))
-        report = decode_blocks(scheme, outcomes)
+        report = decode_blocks(scheme, encode(scheme, BitVector.zeros(16)))
         assert report.defectives == DefectiveSet()
         assert report.status == "no-positive-tests"
 
@@ -196,11 +205,9 @@ class TestFindDefectives:
         rng2 = np.random.default_rng(8)
         for _ in range(20):
             truth = DefectiveSet(rng2.choice(8, size=3, replace=False).tolist())
-            outcomes = encode(scheme, truth.to_vector(8))
-            assert find_defectives(scheme, outcomes) == truth
-            consistent = brute_force_decode(
-                scheme.t, flatten_outcomes(outcomes), 3, 2, budget=0
-            )
+            y = encode(scheme, truth.to_vector(8))
+            assert decode_blocks(scheme, y).defectives == truth
+            consistent = brute_force_decode(scheme.t, y, 3, 2, budget=0)
             assert truth in consistent
 
     def test_overweight_blocks_rejected(self, scheme16):
@@ -232,22 +239,22 @@ class TestFindDefectives:
 
     def test_block_count_mismatch(self, scheme16):
         scheme, _ = scheme16
-        outcomes = encode(scheme, BitVector.zeros(16))
+        y = encode(scheme, BitVector.zeros(16))
+        one_block_short = BitVector(y.to_array()[: -(2 * scheme.k + 1)])
         with pytest.raises(DimensionError):
-            decode_blocks(scheme, outcomes[:-1])
+            decode_blocks(scheme, one_block_short)
 
 
 class TestMultisetAndTolerantDecoding:
     def test_empty_when_no_positives(self, scheme16):
         scheme, _ = scheme16
-        ms = find_defectives_multiset(scheme, encode(scheme, BitVector.zeros(16)))
+        ms = decode_blocks(scheme, encode(scheme, BitVector.zeros(16))).multiset
         assert ms.counts == {} and ms.total() == 0
 
     def test_counts_match_trace_recount(self, scheme16):
         scheme, _ = scheme16
         truth = DefectiveSet([2, 6, 11])
-        outcomes = encode(scheme, truth.to_vector(16))
-        report = decode_blocks(scheme, outcomes)
+        report = decode_blocks(scheme, encode(scheme, truth.to_vector(16)))
         recount = {}
         for trace in report.traces:
             if trace.accepted:
@@ -259,10 +266,8 @@ class TestMultisetAndTolerantDecoding:
     def test_set_collapse_equals_plain_decode(self, scheme16):
         scheme, _ = scheme16
         truth = DefectiveSet([0, 9])
-        outcomes = encode(scheme, truth.to_vector(16))
-        assert find_defectives_multiset(scheme, outcomes).support() == find_defectives(
-            scheme, outcomes
-        )
+        report = decode_blocks(scheme, encode(scheme, truth.to_vector(16)))
+        assert report.multiset.support() == report.defectives
 
     def test_zero_budget_equals_plain_decode(self, scheme16):
         scheme, _ = scheme16
@@ -270,8 +275,14 @@ class TestMultisetAndTolerantDecoding:
         for _ in range(10):
             size = int(rng.integers(2, 4))
             truth = DefectiveSet(rng.choice(16, size=size, replace=False).tolist())
-            outcomes = encode(scheme, truth.to_vector(16))
-            assert dec_natgt(scheme, outcomes, 0) == find_defectives(scheme, outcomes)
+            report = decode_blocks(scheme, encode(scheme, truth.to_vector(16)))
+            assert report.multiset.at_least(1) == report.defectives
+
+    def test_vote_threshold_below_one_rejected(self, scheme16):
+        scheme, _ = scheme16
+        report = decode_blocks(scheme, encode(scheme, DefectiveSet([0, 9]).to_vector(16)))
+        with pytest.raises(ParameterError):
+            report.multiset.at_least(0)
 
     def test_single_flip_recovery(self, scheme16_e1):
         scheme, _ = scheme16_e1
@@ -279,11 +290,9 @@ class TestMultisetAndTolerantDecoding:
         for _ in range(100):
             size = int(rng.integers(2, 4))
             truth = DefectiveSet(rng.choice(16, size=size, replace=False).tolist())
-            flat = flatten_outcomes(encode(scheme, truth.to_vector(16)))
-            noisy, flips = inject_errors(flat, 1, rng)
+            noisy, flips = inject_errors(encode(scheme, truth.to_vector(16)), 1, rng)
             assert len(flips) == 1
-            blocks = split_outcome(noisy, scheme.h, scheme.k)
-            assert dec_natgt(scheme, blocks, 1) == truth
+            assert decode_blocks(scheme, noisy).multiset.at_least(2) == truth
 
     def test_adversarial_flip_recovery(self, scheme16_e1):
         scheme, _ = scheme16_e1
@@ -292,12 +301,10 @@ class TestMultisetAndTolerantDecoding:
             size = int(rng.integers(2, 4))
             truth = DefectiveSet(rng.choice(16, size=size, replace=False).tolist())
             x = truth.to_vector(16)
-            flat = flatten_outcomes(encode(scheme, x))
             flips = adversarial_flip_positions(scheme, x, 1)
             assert len(flips) == 1
-            noisy = flip_positions(flat, flips)
-            blocks = split_outcome(noisy, scheme.h, scheme.k)
-            assert dec_natgt(scheme, blocks, 1) == truth
+            noisy = flip_positions(encode(scheme, x), flips)
+            assert decode_blocks(scheme, noisy).multiset.at_least(2) == truth
 
     def test_adversarial_positions_hit_locator_bits(self, scheme16_e1):
         scheme, _ = scheme16_e1
@@ -319,8 +326,6 @@ class TestBundles:
     def test_tampered_final_matrix_detected(self, tmp_path, scheme16):
         scheme, cert = scheme16
         save_bundle(tmp_path / "b", scheme, 7, 3.0, 2.0, cert.to_json(), {"passed": True})
-        from tgt import load_matrix, serialize_matrix
-
         t, kind, params = load_matrix((tmp_path / "b" / "T.mat").read_bytes())
         flipped = t.to_array().copy()
         flipped[0, 0] ^= 1
@@ -329,6 +334,20 @@ class TestBundles:
         )
         with pytest.raises(ParseError):
             load_bundle(tmp_path / "b")
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 8, 9, 13, 16, 31, 33, 100])
+    def test_final_matrix_file_equals_dense_serialization(self, tmp_path, n):
+        # T.mat is packed from G and M without building T; it must be the
+        # file the dense T would serialize to, for any n % 8.
+        rng = np.random.default_rng(n)
+        g = BitMatrix.random(rng, 3, n, 0.5)
+        m = BitMatrix.random(rng, 4, n, 0.5)
+        scheme = build_scheme(g, m, SchemeParams(n=n, d=2, u=2))
+        save_bundle(tmp_path, scheme, 1, 3.0, 2.0, {}, {})
+        _, _, header = load_matrix((tmp_path / "G.mat").read_bytes())
+        expected = serialize_matrix(scheme.t, "final", header)
+        assert (tmp_path / "T.mat").read_bytes() == expected
+        assert load_bundle(tmp_path)[0].t == scheme.t
 
     def test_bad_manifest(self, tmp_path):
         (tmp_path / "scheme.json").write_text("{not json")

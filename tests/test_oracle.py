@@ -8,11 +8,9 @@ from tgt import (
     apply_threshold,
     brute_force_decode,
     cross_check,
-    dec_natgt,
+    decode_blocks,
     encode,
-    flatten_outcomes,
     inject_errors,
-    split_outcome,
 )
 from tgt.errors import BudgetError, ParameterError
 
@@ -38,7 +36,7 @@ class TestBruteForceDecode:
         rng = np.random.default_rng(1)
         for _ in range(5):
             truth = DefectiveSet(rng.choice(16, size=3, replace=False).tolist())
-            y = flatten_outcomes(encode(scheme, truth.to_vector(16)))
+            y = encode(scheme, truth.to_vector(16))
             consistent = brute_force_decode(scheme.t, y, 3, 2, budget=0)
             assert consistent.is_singleton()
             assert consistent.candidates[0] == truth
@@ -48,8 +46,7 @@ class TestBruteForceDecode:
         rng = np.random.default_rng(2)
         for _ in range(5):
             truth = DefectiveSet(rng.choice(16, size=2, replace=False).tolist())
-            flat = flatten_outcomes(encode(scheme, truth.to_vector(16)))
-            noisy, _ = inject_errors(flat, 1, rng)
+            noisy, _ = inject_errors(encode(scheme, truth.to_vector(16)), 1, rng)
             consistent = brute_force_decode(scheme.t, noisy, 3, 2, budget=1)
             assert truth in consistent
             for candidate in consistent.candidates:
@@ -57,8 +54,8 @@ class TestBruteForceDecode:
                 dist = int((simulated.to_array() != noisy.to_array()).sum())
                 assert dist <= consistent.mismatch_budget
             if consistent.is_singleton():
-                blocks = split_outcome(noisy, scheme.h, scheme.k)
-                assert dec_natgt(scheme, blocks, 1) == consistent.candidates[0]
+                decoded = decode_blocks(scheme, noisy).multiset.at_least(2)
+                assert decoded == consistent.candidates[0]
 
     def test_candidate_order_by_size_then_lex(self):
         t = BitMatrix.ones(1, 4)

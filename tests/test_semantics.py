@@ -28,7 +28,7 @@ def naive_threshold(m: BitMatrix, x: BitVector, u: int) -> list[int]:
 class TestSchemeParams:
     def test_derived_values(self):
         p = SchemeParams(n=32, d=5, u=2)
-        assert (p.d0, p.ell, p.gap) == (3, 1, 0)
+        assert p.d0 == 3
         p2 = SchemeParams(n=32, d=4, u=3)
         assert p2.d0 == 3
 
