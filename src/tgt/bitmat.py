@@ -297,22 +297,18 @@ def _file(header: str, payload: bytes | np.ndarray) -> bytes:
     return b"".join([header.encode("ascii"), b"\n", base64.b64encode(payload), b"\n"])
 
 
-def serialize_packed(
-    rows: int, cols: int, payload: bytes | np.ndarray, kind: str = "final",
-    params: dict | None = None,
-) -> bytes:
-    """Matrix file for a payload already laid out by `packed_stream`."""
+def matrix_header(rows: int, cols: int, kind: str = "final", params: dict | None = None) -> str:
+    """The first line of a matrix file, without its newline."""
     if kind not in MATRIX_KINDS:
         raise ValueError(f"kind must be one of {MATRIX_KINDS}, got {kind!r}")
-    return _file(
+    return (
         f"{_MAGIC_MAT} {_VERSION} rows={rows} cols={cols} "
-        f"kind={kind} params={_dump_params(params)}",
-        payload,
+        f"kind={kind} params={_dump_params(params)}"
     )
 
 
 def serialize_matrix(m: BitMatrix, kind: str = "final", params: dict | None = None) -> bytes:
-    return serialize_packed(m.rows, m.cols, m.packed(), kind, params)
+    return _file(matrix_header(m.rows, m.cols, kind, params), m.packed())
 
 
 def _parse_field(token: str, name: str) -> str:

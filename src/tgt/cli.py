@@ -29,6 +29,7 @@ from .codec import (
     decode_blocks,
     encode,
     load_bundle,
+    read_file,
     save_bundle,
 )
 from .constructions import (
@@ -202,10 +203,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        matrix, kind, _ = load_matrix(Path(args.path).read_bytes())
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.path}: {exc}") from exc
+    matrix, kind, _ = load_matrix(read_file(args.path))
     if args.check == "disjunct":
         if args.d is None:
             raise ParameterError("--d is required for the disjunct check")
@@ -260,7 +258,7 @@ def _parse_defectives(text: str, n: int) -> DefectiveSet:
 def cmd_encode(args) -> int:
     scheme, _ = _load_scheme(args)
     if args.x:
-        x = deserialize_vector(Path(args.x).read_bytes())
+        x = deserialize_vector(read_file(args.x))
     elif args.defectives:
         x = _parse_defectives(args.defectives, scheme.params.n).to_vector(scheme.params.n)
     else:
@@ -274,7 +272,7 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     scheme, manifest = _load_scheme(args)
-    y = deserialize_vector(Path(args.y).read_bytes())
+    y = deserialize_vector(read_file(args.y))
     run_e = manifest["e"] if args.e is None else args.e
     report = decode_blocks(scheme, y)
     decoded = report.multiset.at_least(run_e + 1)

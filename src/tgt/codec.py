@@ -18,10 +18,15 @@ decoder also keeps per-item occurrence counts so that up to e
 erroneous outcomes can be outvoted (an error corrupts at most one block,
 so a frequency threshold of e+1 separates true items from fabricated
 ones).
+
+A bundle stores G, M and T as matrix files.  T.mat is written and
+checked as a stream of pieces of a few locator blocks each, so neither
+saving nor loading a bundle holds the whole file in memory.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from collections import Counter
@@ -35,10 +40,10 @@ from .bitmat import (
     BitVector,
     DefectiveSet,
     load_matrix,
+    matrix_header,
     pack_rows,
     packed_stream,
     serialize_matrix,
-    serialize_packed,
 )
 from .errors import CoverOverflowError, DimensionError, ParameterError, ParseError
 from .semantics import SchemeParams
@@ -278,23 +283,61 @@ def _header_params(params: SchemeParams, seed: int, c: float, c_g: float) -> dic
     return {"d": params.d, "u": params.u, "e": params.e, "seed": seed, "c": c, "c_g": c_g}
 
 
-def _t_file(scheme: Scheme, header: dict) -> bytes:
-    """T.mat bytes, made from the packed rows of G and [1; M; complement(M)]
-    without building T: packed T row (i, r) is packed G_i AND packed pattern r."""
+# Payload bytes per T.mat piece, before rounding to whole locator blocks.
+_PIECE_BYTES = 1 << 18
+
+
+def _t_pieces(scheme: Scheme, header: dict):
+    """Yield T.mat as byte strings: the header line, the base64 of the
+    payload a few locator blocks at a time, then the closing newline.
+
+    Packed T row (i, r) is packed G_i AND packed row r of [1; M; complement(M)],
+    so no piece needs T.  Every piece but the last holds a whole number of
+    bytes and of 3-byte base64 groups, so the pieces join to the base64 of
+    the whole payload; the zero padding to 64-bit words ends the last piece.
+    """
+    n, h = scheme.params.n, scheme.h
     g = pack_rows(scheme.g.to_array())
     pattern = pack_rows(_block_pattern(scheme.m))
     # AND whole words at a time: numpy is slow on many short byte rows.
     word = np.dtype(f"u{math.gcd(g.shape[1], 8)}")
-    rows = (g.view(word)[:, None, :] & pattern.view(word)[None]).view(np.uint8)
-    payload = packed_stream(rows.reshape(-1, g.shape[1]), scheme.params.n)
-    return serialize_packed(scheme.tests, scheme.params.n, payload, "final", header)
+    g, pattern = g.view(word), pattern.view(word)
+    block_bits = pattern.shape[0] * n
+    unit = 24 // math.gcd(block_bits, 24)  # fewest blocks that fill whole 3-byte groups
+    step = unit * max(1, _PIECE_BYTES * 8 // (unit * block_bits))
+    size = -(-scheme.tests * n // 64) * 8  # payload bytes, padded to 64-bit words
+    yield matrix_header(scheme.tests, n, "final", header).encode("ascii") + b"\n"
+    for start in range(0, h, step):
+        stop = min(start + step, h)
+        rows = (g[start:stop, None, :] & pattern[None]).view(np.uint8)
+        piece = packed_stream(rows.reshape(-1, rows.shape[-1]), n).tobytes()
+        length = (size if stop == h else stop * block_bits // 8) - start * block_bits // 8
+        yield base64.b64encode(piece[:length].ljust(length, b"\0"))
+    yield b"\n"
 
 
-def _read(path: Path) -> bytes:
+def read_file(path: str | Path) -> bytes:
+    """The bytes of a file; a missing or unreadable file is a ParseError."""
     try:
-        return path.read_bytes()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _manifest_params(manifest, directory: Path) -> SchemeParams:
+    if not isinstance(manifest, dict):
+        raise ParseError(f"scheme manifest in {directory} is not a JSON object")
+    if manifest.get("format") != "tgt-scheme-v1":
+        raise ParseError(f"unknown scheme format {manifest.get('format')!r}")
+    try:
+        values = {key: manifest[key] for key in ("n", "d", "u", "e", "p")}
+    except KeyError as exc:
+        raise ParseError(f"scheme manifest in {directory} has no {exc} entry") from exc
+    for key, value in values.items():
+        kinds, noun = ((int, float), "a number") if key == "p" else (int, "an integer")
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ParseError(f"scheme manifest in {directory}: {key}={value!r} is not {noun}")
+    return SchemeParams(**values)
 
 
 def save_bundle(
@@ -316,7 +359,8 @@ def save_bundle(
     header = _header_params(scheme.params, seed, c, c_g)
     (directory / "G.mat").write_bytes(serialize_matrix(scheme.g, "good", header))
     (directory / "M.mat").write_bytes(serialize_matrix(scheme.m, "disjunct", header))
-    (directory / "T.mat").write_bytes(_t_file(scheme, header))
+    with open(directory / "T.mat", "wb") as fh:
+        fh.writelines(_t_pieces(scheme, header))
     manifest = {
         "format": "tgt-scheme-v1",
         "n": scheme.params.n,
@@ -342,27 +386,27 @@ def load_bundle(directory: str | Path) -> tuple[Scheme, dict]:
     """Rebuild a scheme from a bundle directory.
 
     T.mat must equal, byte for byte, the file save_bundle would write for
-    the stored G and M under G.mat's header parameters.
+    the stored G and M under G.mat's header parameters.  The check reads
+    T.mat piece by piece against `_t_pieces`, so neither copy of the file
+    is ever whole in memory.
     """
     directory = Path(directory)
     try:
-        manifest = json.loads(_read(directory / "scheme.json"))
+        manifest = json.loads(read_file(directory / "scheme.json"))
     except ValueError as exc:
         raise ParseError(f"cannot read scheme manifest in {directory}: {exc}") from exc
-    if manifest.get("format") != "tgt-scheme-v1":
-        raise ParseError(f"unknown scheme format {manifest.get('format')!r}")
-    try:
-        params = SchemeParams(
-            n=manifest["n"], d=manifest["d"], u=manifest["u"],
-            e=manifest["e"], p=manifest["p"],
-        )
-    except KeyError as exc:
-        raise ParseError(f"scheme manifest in {directory} has no {exc} entry") from exc
-    g, kind_g, header = load_matrix(_read(directory / "G.mat"))
-    m, kind_m, _ = load_matrix(_read(directory / "M.mat"))
+    params = _manifest_params(manifest, directory)
+    g, kind_g, header = load_matrix(read_file(directory / "G.mat"))
+    m, kind_m, _ = load_matrix(read_file(directory / "M.mat"))
     if kind_g != "good" or kind_m != "disjunct":
         raise ParseError(f"unexpected matrix kinds {kind_g!r}/{kind_m!r} in bundle")
     scheme = Scheme(params, g, m)
-    if _read(directory / "T.mat") != _t_file(scheme, header):
+    try:
+        with open(directory / "T.mat", "rb") as fh:
+            intact = all(fh.read(len(piece)) == piece for piece in _t_pieces(scheme, header))
+            intact = intact and not fh.read(1)
+    except OSError as exc:
+        raise ParseError(f"cannot read {directory / 'T.mat'}: {exc}") from exc
+    if not intact:
         raise ParseError("stored final matrix does not match G and M")
     return scheme, manifest

@@ -245,6 +245,30 @@ class TestMalformedInput:
                       "--defectives", "2,9", "--out", str(tmp_path / "y.vec"))
         assert code == 2
 
+    @pytest.mark.parametrize("key, value", [(None, []), ("n", "16"), ("e", 1.0), ("p", "0.5")])
+    def test_manifest_of_wrong_type(self, bundle, tmp_path, capsys, key, value):
+        copy = tmp_path / "b"
+        shutil.copytree(bundle, copy)
+        manifest = json.loads((copy / "scheme.json").read_text())
+        if key is None:
+            manifest = value
+        else:
+            manifest[key] = value
+        (copy / "scheme.json").write_text(json.dumps(manifest))
+        code, _ = run(capsys, "encode", "--bundle", str(copy),
+                      "--defectives", "2,9", "--out", str(tmp_path / "y.vec"))
+        assert code == 2
+
+    def test_encode_missing_item_vector(self, bundle, tmp_path, capsys):
+        code, _ = run(capsys, "encode", "--bundle", str(bundle),
+                      "--x", str(tmp_path / "missing.vec"), "--out", str(tmp_path / "y.vec"))
+        assert code == 2
+
+    def test_decode_missing_outcome_vector(self, bundle, tmp_path, capsys):
+        code, _ = run(capsys, "decode", "--bundle", str(bundle),
+                      "--y", str(tmp_path / "missing.vec"))
+        assert code == 2
+
     def test_negative_error_budget(self, bundle, tmp_path, capsys):
         y_path = tmp_path / "y.vec"
         run(capsys, "encode", "--bundle", str(bundle),
