@@ -283,36 +283,47 @@ def _header_params(params: SchemeParams, seed: int, c: float, c_g: float) -> dic
     return {"d": params.d, "u": params.u, "e": params.e, "seed": seed, "c": c, "c_g": c_g}
 
 
-# Payload bytes per T.mat piece, before rounding to whole locator blocks.
-_PIECE_BYTES = 1 << 18
+# Payload bytes per T.mat piece, rounded down to whole 3-byte base64 groups.
+# 48 KiB keeps each piece's buffers in cache and below glibc's smallest mmap
+# threshold (128 KiB), so every piece reuses heap memory instead of faulting
+# in fresh pages, whatever the process allocated before.
+_PIECE_BYTES = 3 << 14
 
 
 def _t_pieces(scheme: Scheme, header: dict):
     """Yield T.mat as byte strings: the header line, the base64 of the
-    payload a few locator blocks at a time, then the closing newline.
+    payload a piece at a time, then the closing newline.
 
     Packed T row (i, r) is packed G_i AND packed row r of [1; M; complement(M)],
-    so no piece needs T.  Every piece but the last holds a whole number of
-    bytes and of 3-byte base64 groups, so the pieces join to the base64 of
-    the whole payload; the zero padding to 64-bit words ends the last piece.
+    so no piece needs T.  The AND fills one reused buffer a group of locator
+    blocks at a time.  Every group but the last, and every piece but the
+    last, holds a whole number of bytes and of 3-byte base64 groups, so the
+    pieces join to the base64 of the whole payload; the zero padding to
+    64-bit words ends the last group.
     """
     n, h = scheme.params.n, scheme.h
     g = pack_rows(scheme.g.to_array())
     pattern = pack_rows(_block_pattern(scheme.m))
+    row_bytes = g.shape[1]
     # AND whole words at a time: numpy is slow on many short byte rows.
-    word = np.dtype(f"u{math.gcd(g.shape[1], 8)}")
+    word = np.dtype(f"u{math.gcd(row_bytes, 8)}")
     g, pattern = g.view(word), pattern.view(word)
     block_bits = pattern.shape[0] * n
     unit = 24 // math.gcd(block_bits, 24)  # fewest blocks that fill whole 3-byte groups
     step = unit * max(1, _PIECE_BYTES * 8 // (unit * block_bits))
+    piece = max(3, _PIECE_BYTES - _PIECE_BYTES % 3)
     size = -(-scheme.tests * n // 64) * 8  # payload bytes, padded to 64-bit words
     yield matrix_header(scheme.tests, n, "final", header).encode("ascii") + b"\n"
+    rows = np.empty((step, *pattern.shape), dtype=word)
     for start in range(0, h, step):
         stop = min(start + step, h)
-        rows = (g[start:stop, None, :] & pattern[None]).view(np.uint8)
-        piece = packed_stream(rows.reshape(-1, rows.shape[-1]), n).tobytes()
+        group = np.bitwise_and(g[start:stop, None, :], pattern[None], out=rows[: stop - start])
+        payload = packed_stream(group.view(np.uint8).reshape(-1, row_bytes), n)
         length = (size if stop == h else stop * block_bits // 8) - start * block_bits // 8
-        yield base64.b64encode(piece[:length].ljust(length, b"\0"))
+        if payload.size < length:
+            payload = np.concatenate([payload, np.zeros(length - payload.size, dtype=np.uint8)])
+        for at in range(0, length, piece):
+            yield base64.b64encode(payload[at : min(at + piece, length)])
     yield b"\n"
 
 
@@ -359,7 +370,9 @@ def save_bundle(
     header = _header_params(scheme.params, seed, c, c_g)
     (directory / "G.mat").write_bytes(serialize_matrix(scheme.g, "good", header))
     (directory / "M.mat").write_bytes(serialize_matrix(scheme.m, "disjunct", header))
-    with open(directory / "T.mat", "wb") as fh:
+    # Gather the small pieces into 1 MiB writes: one system call per piece
+    # costs more than copying it.
+    with open(directory / "T.mat", "wb", buffering=1 << 20) as fh:
         fh.writelines(_t_pieces(scheme, header))
     manifest = {
         "format": "tgt-scheme-v1",
