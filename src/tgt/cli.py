@@ -17,7 +17,6 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,30 +55,16 @@ _CSV_COLUMNS = [
 ]
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    n: int
-    d: int
-    u: int
-    e: int = 0
-    p: float = 0.0
-    trials: int = 100
-    seed: int = 0
-    c: float = 3.0
-    c_g: float = 2.0
-
-
-def generate_scheme(config: ExperimentConfig, max_attempts: int = 50,
-                    validation_sets: int = 200) -> tuple[Scheme, dict, dict]:
+def generate_scheme(params: SchemeParams, seed: int, c: float, c_g: float,
+                    max_attempts: int = 50, validation_sets: int = 200) -> tuple[Scheme, dict, dict]:
     """Construct and certify both matrices; deterministic in the seed."""
-    params = SchemeParams(n=config.n, d=config.d, u=config.u, e=config.e, p=config.p)
-    seed_m, seed_g, seed_v = np.random.SeedSequence(config.seed).spawn(3)
+    seed_m, seed_g, seed_v = np.random.SeedSequence(seed).spawn(3)
     m, cert = construct_disjunct(
-        params.n, params.d, np.random.default_rng(seed_m), max_attempts=max_attempts, c=config.c
+        params.n, params.d, np.random.default_rng(seed_m), max_attempts=max_attempts, c=c
     )
     g = construct_good(
         params, np.random.default_rng(seed_g), max_attempts=max_attempts,
-        validation_sets=validation_sets, c_g=config.c_g,
+        validation_sets=validation_sets, c_g=c_g,
     )
     validation = validate_good(
         g, params, np.random.default_rng(seed_v), validation_sets, 2 * params.e
@@ -190,11 +175,11 @@ def _write_records(records: list[dict], summary: dict, out_prefix: str) -> None:
 
 
 def cmd_gen(args) -> int:
-    config = _config_from(args)
     scheme, cert, validation = generate_scheme(
-        config, max_attempts=args.max_attempts, validation_sets=args.validation_sets
+        _params_from(args), args.seed, args.c, args.c_g,
+        max_attempts=args.max_attempts, validation_sets=args.validation_sets,
     )
-    save_bundle(args.out, scheme, config.seed, config.c, config.c_g, cert, validation)
+    save_bundle(args.out, scheme, args.seed, args.c, args.c_g, cert, validation)
     print(json.dumps({
         "bundle": str(args.out), "h": scheme.h, "k": scheme.k, "t": scheme.tests,
         "m_verified": cert["verified"], "g_validated": validation["passed"],
@@ -239,10 +224,6 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _load_scheme(args) -> tuple[Scheme, dict]:
-    return load_bundle(args.bundle)
-
-
 def _parse_defectives(text: str, n: int) -> DefectiveSet:
     """Comma-separated 1-based item indices, each in 1..n."""
     try:
@@ -256,7 +237,7 @@ def _parse_defectives(text: str, n: int) -> DefectiveSet:
 
 
 def cmd_encode(args) -> int:
-    scheme, _ = _load_scheme(args)
+    scheme, _ = load_bundle(args.bundle)
     if args.x:
         x = deserialize_vector(read_file(args.x))
     elif args.defectives:
@@ -271,7 +252,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    scheme, manifest = _load_scheme(args)
+    scheme, manifest = load_bundle(args.bundle)
     y = deserialize_vector(read_file(args.y))
     run_e = manifest["e"] if args.e is None else args.e
     report = decode_blocks(scheme, y)
@@ -297,11 +278,12 @@ def cmd_simulate(args) -> int:
         scheme, manifest = load_bundle(args.bundle)
         certified_e = manifest["e"]
     else:
-        config = _config_from(args)
+        params = _params_from(args)
         scheme, _, _ = generate_scheme(
-            config, max_attempts=args.max_attempts, validation_sets=args.validation_sets
+            params, args.seed, args.c, args.c_g,
+            max_attempts=args.max_attempts, validation_sets=args.validation_sets,
         )
-        certified_e = config.e
+        certified_e = params.e
     run_e = args.e if args.e is not None else certified_e
     records, summary = run_trials(
         scheme, args.trials, args.seed, run_e,
@@ -329,10 +311,10 @@ def cmd_bench(args) -> int:
         raise ParameterError("empty benchmark grid")
     rows = []
     for n, d, u, e in grid:
-        config = ExperimentConfig(n=n, d=d, u=u, e=e, p=args.p, trials=args.trials,
-                                  seed=args.seed, c=args.c, c_g=args.c_g)
+        params = SchemeParams(n=n, d=d, u=u, e=e, p=args.p)
         t0 = time.perf_counter_ns()
-        scheme, _, _ = generate_scheme(config, validation_sets=args.validation_sets)
+        scheme, _, _ = generate_scheme(params, args.seed, args.c, args.c_g,
+                                       validation_sets=args.validation_sets)
         gen_ns = time.perf_counter_ns() - t0
         records, summary = run_trials(scheme, args.trials, args.seed, e)
         encode_ns = sum(r["encode_ns"] for r in records) // len(records)
@@ -363,15 +345,11 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()] if text else []
 
 
-def _config_from(args) -> ExperimentConfig:
+def _params_from(args) -> SchemeParams:
     for name in ("n", "d", "u"):
         if getattr(args, name, None) is None:
             raise ParameterError(f"--{name} is required")
-    return ExperimentConfig(
-        n=args.n, d=args.d, u=args.u, e=args.e or 0, p=args.p,
-        trials=getattr(args, "trials", 100), seed=args.seed,
-        c=args.c, c_g=args.c_g,
-    )
+    return SchemeParams(n=args.n, d=args.d, u=args.u, e=args.e or 0, p=args.p)
 
 
 def _add_scheme_flags(sub, trials_default: int | None = None):

@@ -12,12 +12,14 @@ flat vector in the row order of T.  Under threshold-u semantics the
 block for row i observes the restriction of the item vector to
 supp(G_i).  When that restriction has weight exactly u, the three
 recovery rules turn the pair of threshold outcome blocks into the
-boolean-OR outcome of M, which the cover decoder inverts exactly.  Blocks whose restriction has a different
-weight are screened out by the size and OR-consistency checks; the
-decoder also keeps per-item occurrence counts so that up to e
-erroneous outcomes can be outvoted (an error corrupts at most one block,
-so a frequency threshold of e+1 separates true items from fabricated
-ones).
+boolean-OR outcome of M, which the cover decoder inverts exactly.
+Blocks whose restriction has a different weight are screened out by the
+size and OR-consistency checks; the decoder also keeps per-item
+occurrence counts so that up to e erroneous outcomes can be outvoted (an
+error corrupts at most one block, so a frequency threshold of e+1
+separates true items from fabricated ones).  One array pass over the
+stacked positive blocks decides every block; the cover rule is written
+once, in `_survivors`.
 
 A bundle stores G, M and T as matrix files.  T.mat is written and
 checked as a stream of pieces of a few locator blocks each, so neither
@@ -29,7 +31,6 @@ from __future__ import annotations
 import base64
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -148,15 +149,20 @@ def recover_yprime(y_block: np.ndarray, y_bar_block: np.ndarray) -> np.ndarray:
     return y_block | (1 - y_bar_block)
 
 
+def _survivors(ma: np.ndarray, yprime: np.ndarray) -> np.ndarray:
+    """The cover rule: column j survives iff no M-row containing j is
+    negative.  yprime is one outcome (k,) or a stack (P, k); the result is
+    a boolean (n,) or (P, n).  float32 counts stay exact up to 2**24 rows."""
+    return (1 - yprime).astype(np.float32) @ ma.astype(np.float32) == 0
+
+
 def cover_decode(m: BitMatrix, yprime: BitVector, cap: int | None = None) -> DefectiveSet:
     """Classic OR-semantics decoder: keep the columns whose every pool is
     positive.  Exact for |supp(x)| up to the disjunctness order of m.
     Raises CoverOverflowError when more than `cap` columns survive."""
     if m.rows != len(yprime):
         raise DimensionError(f"matrix has {m.rows} rows, outcome has {len(yprime)}")
-    negative = (1 - yprime.to_array()).astype(np.int64)
-    hits = negative @ m.to_array()
-    candidates = np.flatnonzero(hits == 0)
+    candidates = np.flatnonzero(_survivors(m.to_array(), yprime.to_array()))
     if cap is not None and candidates.size > cap:
         raise CoverOverflowError(int(candidates.size), cap)
     return DefectiveSet(candidates.tolist())
@@ -201,79 +207,69 @@ class DecodeReport:
 
 
 def decode_blocks(scheme: Scheme, y: BitVector) -> DecodeReport:
-    """Decode a (2k+1)h-bit outcome block by block, keeping an audit trace.
+    """Decode a (2k+1)h-bit outcome, deciding every block in one array pass.
 
     For each positive locator row: recover the OR outcome, cover-decode
     it (capped at d+1 candidates), and accept the candidate set only if
     it has exactly u items whose pooled columns reproduce the recovered
-    outcome.  Accepted sets accumulate into both a plain union
-    (`defectives`) and a multiset of occurrence counts, whose
-    `at_least(e + 1)` is the set that tolerates e flipped outcomes.
+    outcome.  A block's reason is the first that applies of negative,
+    overflow, size, or-mismatch and accepted.  Accepted sets accumulate
+    into both a plain union (`defectives`) and a multiset of occurrence
+    counts, whose `at_least(e + 1)` is the set that tolerates e flipped
+    outcomes.
     """
     h, k = scheme.h, scheme.k
     if len(y) != (2 * k + 1) * h:
         raise DimensionError(f"outcome has {len(y)} bits, scheme has {(2 * k + 1) * h} tests")
     u = scheme.params.u
-    cap = scheme.params.d + 1
     ma = scheme.m.to_array()
     view = y.to_array().reshape(h, 2 * k + 1)
     positive = np.flatnonzero(view[:, 0])
     yprime = recover_yprime(view[positive, 1 : k + 1], view[positive, k + 1 :])
-    # hits[r, j] = number of M-rows containing j whose recovered outcome is 0;
-    # column j survives the cover decode of positive block r iff hits[r, j] == 0.
-    hits = (1 - yprime).astype(np.float32) @ ma.astype(np.float32)
+    alive = _survivors(ma, yprime)  # (P, n): the cover decode of every positive block
+    sizes = alive.sum(axis=1)
+    sized = sizes == u
+    items = np.nonzero(alive[sized])[1].reshape(-1, u)
+    consistent = (ma.T[items].max(axis=1) == yprime[sized]).all(axis=1)
 
-    traces = [BlockTrace(i, False, False, "negative") for i in range(h)]
-    counts: Counter[int] = Counter()
-    for r, i in enumerate(positive.tolist()):
-        candidates = np.flatnonzero(hits[r] == 0)
-        if candidates.size > cap:
-            traces[i] = BlockTrace(i, True, False, "overflow")
-        elif candidates.size != u:
-            traces[i] = BlockTrace(i, True, False, "size")
-        elif not np.array_equal(ma[:, candidates].max(axis=1), yprime[r]):
-            traces[i] = BlockTrace(i, True, False, "or-mismatch")
-        else:
-            items = tuple(candidates.tolist())
-            counts.update(items)
-            traces[i] = BlockTrace(i, True, True, "accepted", items)
+    reasons = np.full(h, "negative", dtype="<U11")
+    reasons[positive] = np.where(sizes > scheme.params.d + 1, "overflow", "size")
+    reasons[positive[sized]] = np.where(consistent, "accepted", "or-mismatch")
+    accepted, items = positive[sized][consistent], items[consistent]
+    votes = np.bincount(items.ravel(), minlength=scheme.params.n)
+    voted = np.flatnonzero(votes)
+    multiset = CandidateMultiset(dict(zip(voted.tolist(), votes[voted].tolist())))
+    items_of = dict(zip(accepted.tolist(), map(tuple, items.tolist())))
+    traces = tuple(map(
+        BlockTrace, range(h), (view[:, 0] == 1).tolist(), (reasons == "accepted").tolist(),
+        reasons.tolist(), map(items_of.get, range(h)),
+    ))
 
-    if counts:
+    if accepted.size:
         status = "ok"
     elif not positive.size:
         status = "no-positive-tests"
     else:
         status = "all-blocks-rejected"
-    multiset = CandidateMultiset(dict(sorted(counts.items())))
-    return DecodeReport(multiset.support(), multiset, tuple(traces), status)
+    return DecodeReport(multiset.support(), multiset, traces, status)
 
 
 def adversarial_flip_positions(scheme: Scheme, x: BitVector, e: int) -> tuple[int, ...]:
     """Pick e flip positions that hurt the decoder most: kill the locator
-    bits of qualifying blocks for the defective with the fewest of them."""
+    bits of qualifying blocks for the defective with the fewest of them,
+    then of the other qualifying blocks, then of the first blocks."""
     if e == 0:
         return ()
+    support = x.support()
+    g = scheme.g.to_array()[:, support]
+    qualifying = g.sum(axis=1) == scheme.params.u
+    target = []
+    if qualifying.any():
+        weakest = np.argmin(g[qualifying].sum(axis=0))
+        target = np.flatnonzero(qualifying & (g[:, weakest] == 1)).tolist()
+    blocks = dict.fromkeys([*target, *np.flatnonzero(qualifying).tolist(), *range(scheme.h)])
     stride = 2 * scheme.k + 1
-    ga = scheme.g.to_array()
-    xa = x.to_array().astype(np.int64)
-    qualifying = ga @ xa == scheme.params.u
-    support = np.flatnonzero(xa)
-    if support.size == 0 or not qualifying.any():
-        return tuple(i * stride for i in range(min(e, scheme.h)))
-    per_item = ga[qualifying][:, support].sum(axis=0)
-    target = int(support[np.argmin(per_item)])
-    blocks = np.flatnonzero(qualifying & (ga[:, target] == 1)).tolist()
-    for i in np.flatnonzero(qualifying).tolist():
-        if len(blocks) >= e:
-            break
-        if i not in blocks:
-            blocks.append(i)
-    for i in range(scheme.h):
-        if len(blocks) >= e:
-            break
-        if i not in blocks:
-            blocks.append(i)
-    return tuple(sorted(i * stride for i in blocks[:e]))
+    return tuple(sorted(i * stride for i in list(blocks)[:e]))
 
 
 # --- scheme bundles --------------------------------------------------------

@@ -194,7 +194,6 @@ def construct_disjunct(
     max_attempts: int = 50,
     c: float = 3.0,
     budget: int | None = None,
-    sampled_trials: int = DEFAULT_SAMPLED_TRIALS,
 ) -> tuple[BitMatrix, DisjunctCertificate]:
     """Sample Bernoulli matrices until one verifies as (d+1)-disjunct.
 
@@ -211,7 +210,7 @@ def construct_disjunct(
     mode = "exhaustive" if _exhaustive_cost(n, order) <= work_budget(budget) else "sampled"
     for _ in range(max_attempts):
         m = BitMatrix.random(rng, k, n, density)
-        cert = verify_disjunct(m, order, mode=mode, trials=sampled_trials, rng=rng, budget=budget)
+        cert = verify_disjunct(m, order, mode=mode, rng=rng, budget=budget)
         if cert.verified:
             return m, cert
     raise ConstructionError(

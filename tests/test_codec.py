@@ -23,8 +23,8 @@ from tgt import (
     save_bundle,
     serialize_matrix,
 )
-from tgt import codec
-from tgt.codec import flatten_outcomes, split_outcome
+from tgt import codec, construct_good
+from tgt.codec import BlockTrace, flatten_outcomes, split_outcome
 from tgt.errors import CoverOverflowError, DimensionError, ParameterError, ParseError
 from tgt.oracle import brute_force_decode
 from tgt.semantics import SchemeParams
@@ -246,6 +246,62 @@ class TestFindDefectives:
         one_block_short = BitVector(y.to_array()[: -(2 * scheme.k + 1)])
         with pytest.raises(DimensionError):
             decode_blocks(scheme, one_block_short)
+
+
+def reference_decode(scheme, y):
+    """decode_blocks written block by block: recover_yprime and cover_decode
+    on each positive block, then the size and OR-consistency rule."""
+    k, u, ma = scheme.k, scheme.params.u, scheme.m.to_array()
+    traces, counts = [], {}
+    for i, row in enumerate(y.to_array().reshape(scheme.h, 2 * k + 1)):
+        if not row[0]:
+            traces.append(BlockTrace(i, False, False, "negative"))
+            continue
+        yprime = recover_yprime(row[1 : k + 1], row[k + 1 :])
+        try:
+            items = cover_decode(scheme.m, BitVector(yprime), cap=scheme.params.d + 1).indices
+        except CoverOverflowError:
+            traces.append(BlockTrace(i, True, False, "overflow"))
+            continue
+        if len(items) != u:
+            traces.append(BlockTrace(i, True, False, "size"))
+        elif not np.array_equal(ma[:, list(items)].max(axis=1), yprime):
+            traces.append(BlockTrace(i, True, False, "or-mismatch"))
+        else:
+            traces.append(BlockTrace(i, True, True, "accepted", items))
+            for j in items:
+                counts[j] = counts.get(j, 0) + 1
+    return tuple(traces), sorted(counts.items())
+
+
+@pytest.fixture(scope="module")
+def scheme32():
+    """A (32, 4, 2) scheme at e=1; M carries a sampled certificate."""
+    params = SchemeParams(n=32, d=4, u=2, e=1, p=0.71)
+    rng = np.random.default_rng(32)
+    m, cert = construct_disjunct(32, 4, rng, budget=0)
+    return build_scheme(construct_good(params, rng), m, params), cert
+
+
+class TestDecodeReference:
+    @pytest.mark.parametrize("which", ["scheme16", "scheme32"])
+    def test_matches_block_by_block_reference(self, request, which):
+        scheme, _ = request.getfixturevalue(which)
+        n, d = scheme.params.n, scheme.params.d
+        rng = np.random.default_rng(14)
+        seen = set()
+        for rate in (0, 0.001, 0.01, 0.05):
+            for _ in range(60):
+                size = int(rng.integers(0, d + 2))
+                x = DefectiveSet(rng.choice(n, size=size, replace=False).tolist()).to_vector(n)
+                y = encode(scheme, x).to_array()
+                y = BitVector(y ^ (rng.random(y.size) < rate))
+                report = decode_blocks(scheme, y)
+                traces, counts = reference_decode(scheme, y)
+                assert report.traces == traces
+                assert list(report.multiset.counts.items()) == counts
+                seen.update(trace.reason for trace in traces)
+        assert seen == {"negative", "overflow", "size", "or-mismatch", "accepted"}
 
 
 class TestMultisetAndTolerantDecoding:

@@ -33,6 +33,7 @@ BUNDLE_DIGESTS = {
     },
 }
 SIMULATE_CSV = "92f48aa6b608a90c4d2dba910690e2e8edbb96f8209bba9b9c2cfdb46ae6708a"
+ADVERSARIAL_CSV = "8c78cce61a5d5e542cb194a40dd2706043c5902b4abd71dec91efd2720b1063d"
 ENCODE_VEC = "3278fd322c7f604c550ff66a2d911f8de61d26510417d1334383de45112b1492"
 DECODE_JSON = "560ab91419e037b7372f40ff4d2dd91936e7bec7c24196cb32efc7501290e7ac"
 
@@ -59,6 +60,13 @@ def test_simulate_csv_digest(bundles, tmp_path):
     args = ["simulate", "--bundle", str(bundles / "b16"), "--trials", "30", "--seed", "13"]
     assert main(args + ["--out", str(tmp_path / "sim")]) == 0
     assert sha256(tmp_path / "sim.csv") == SIMULATE_CSV
+
+
+def test_adversarial_simulate_csv_digest(bundles, tmp_path):
+    """The flips column pins the positions adversarial_flip_positions picks."""
+    args = ["simulate", "--bundle", str(bundles / "b16"), "--trials", "30", "--seed", "13"]
+    assert main(args + ["--adversarial", "--out", str(tmp_path / "adv")]) == 0
+    assert sha256(tmp_path / "adv.csv") == ADVERSARIAL_CSV
 
 
 def test_encode_and_decode_digests(bundles, tmp_path):
