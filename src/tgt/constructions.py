@@ -17,6 +17,13 @@ randomized and certified per instance: disjunctness by (budgeted)
 exhaustive or sampled enumeration, goodness by sampling defective sets and
 running the fixed-D checker.  Constructions are deterministic given a
 seeded generator and fail hard after max_attempts rather than degrade.
+
+Disjunctness is checked on packed column bitsets: each column's rows are
+uint64 words, and one kernel tests a whole batch of subsets S1 at once by
+ANDing every candidate column with the complement of the batch's unions,
+word by word.  Batches of lexicographic subsets (exhaustive) or of
+permutation draws (sampled) replace one Python step per subset or draw;
+certificates, witnesses and generator states equal the step-by-step walk.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -34,6 +41,7 @@ from .semantics import SchemeParams
 
 DEFAULT_BUDGET = 20_000_000
 DEFAULT_SAMPLED_TRIALS = 20_000
+_CHUNK_BYTES = 1 << 20  # temporaries per batched disjunctness check
 
 
 def work_budget(budget: int | None = None) -> int:
@@ -114,6 +122,29 @@ def _exhaustive_cost(n: int, d: int) -> int:
     return math.comb(n, d) * n
 
 
+def _packed_columns(m: BitMatrix) -> np.ndarray:
+    """Column supports as bitsets: (cols, words) uint64, zero padding bits."""
+    packed = np.packbits(m.to_array().T, axis=1)
+    words = -(-packed.shape[1] // 8)
+    padded = np.zeros((m.cols, 8 * words), np.uint8)
+    padded[:, : packed.shape[1]] = packed
+    return padded.view(np.uint64)
+
+
+def _uncovered(cols: np.ndarray, s1: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Which candidate columns keep a row outside the union of each S1.
+
+    `cols` holds the packed columns, `s1` a batch of subsets as (B, d)
+    column indices, and `cand` the packed candidates: `cols` itself for a
+    (B, cols) answer, or (B, 1, words) for one candidate per subset.
+    """
+    outside = ~np.bitwise_or.reduce(cols[s1], axis=1)  # (B, words)
+    acc = np.zeros(np.broadcast_shapes((len(s1), 1), cand.shape[:-1]), np.uint64)
+    for q in range(cols.shape[1]):
+        acc |= outside[:, q, None] & cand[..., q]
+    return acc != 0
+
+
 def verify_disjunct(
     m: BitMatrix,
     d: int,
@@ -124,16 +155,22 @@ def verify_disjunct(
 ) -> DisjunctCertificate:
     """Check d-disjunctness by enumeration or uniform sampling.
 
-    Exhaustive mode walks every d-subset S1 once and checks that every
-    column outside S1 is isolated by some row that misses S1 entirely.
-    Sampled mode draws (S1, j) pairs uniformly; it can only ever certify
+    Exhaustive mode walks every d-subset S1 once, in lexicographic order,
+    and checks that every column outside S1 is isolated by some row that
+    misses S1 entirely; `trials` counts the (S1, j) pairs checked up to
+    and including the first failing subset, whose lowest non-isolated
+    column is the witness.  Sampled mode draws `trials` (S1, j) pairs, one
+    `rng.permutation(cols)` each (j first, then S1), and stops at the first
+    violation, leaving `rng` just past that draw; it can only ever certify
     "no violation found in `trials` draws".
     """
     n = m.cols
     if d < 1 or d >= n:
         raise ParameterError(f"need 1 <= d < cols, got d={d}, cols={n}")
-    a = m.to_array()
-
+    if mode not in ("exhaustive", "sampled"):
+        raise ParameterError(f"unknown mode {mode!r}")
+    if mode == "sampled" and trials < 1:
+        raise ParameterError(f"sampled mode needs at least one draw, got trials={trials}")
     if mode == "exhaustive":
         cost = _exhaustive_cost(n, d)
         cap = work_budget(budget)
@@ -142,29 +179,42 @@ def verify_disjunct(
                 f"exhaustive check needs ~{cost} steps, budget is {cap}; "
                 "switch to sampled mode"
             )
-        checked = 0
-        for s1 in combinations(range(n), d):
-            zero_rows = ~a[:, s1].any(axis=1)
-            isolated = a[zero_rows].any(axis=0) if zero_rows.any() else np.zeros(n, bool)
-            isolated[list(s1)] = True
-            checked += n - d
-            if not isolated.all():
-                j = int(np.flatnonzero(~isolated)[0])
-                return DisjunctCertificate(d, False, "exhaustive", checked, (s1, j))
-        return DisjunctCertificate(d, True, "exhaustive", checked)
+    cols = _packed_columns(m)
+    # Subsets or draws per kernel call: 8-byte words of (B, n) acc and AND
+    # temporaries, and of the d + 2 (B, words) unions, near _CHUNK_BYTES.
+    batch = max(1, _CHUNK_BYTES // (8 * (2 * n + (d + 2) * cols.shape[1])))
 
-    if mode == "sampled":
-        gen = rng if rng is not None else np.random.default_rng(0)
-        for t in range(trials):
-            perm = gen.permutation(n)
-            j = int(perm[0])
-            s1 = tuple(sorted(int(i) for i in perm[1 : d + 1]))
-            zero_rows = ~a[:, s1].any(axis=1)
-            if not a[zero_rows, j].any():
-                return DisjunctCertificate(d, False, "sampled", t + 1, (s1, j))
-        return DisjunctCertificate(d, True, "sampled", trials)
+    if mode == "exhaustive":
+        subsets = combinations(range(n), d)
+        for start in range(0, math.comb(n, d), batch):
+            s1 = np.fromiter(chain.from_iterable(islice(subsets, batch)), np.intp)
+            s1 = s1.reshape(-1, d)
+            isolated = _uncovered(cols, s1, cols)
+            isolated[np.arange(len(s1))[:, None], s1] = True
+            passed = isolated.all(axis=1)
+            if not passed.all():
+                b = int(np.argmin(passed))
+                j = int(np.argmin(isolated[b]))
+                witness = (tuple(int(i) for i in s1[b]), j)
+                return DisjunctCertificate(d, False, mode, (start + b + 1) * (n - d), witness)
+        return DisjunctCertificate(d, True, mode, math.comb(n, d) * (n - d))
 
-    raise ParameterError(f"unknown mode {mode!r}")
+    gen = rng if rng is not None else np.random.default_rng(0)
+    items = np.arange(n)
+    for start in range(0, trials, batch):
+        draws = min(batch, trials - start)
+        state = gen.bit_generator.state
+        perms = gen.permuted(np.broadcast_to(items, (draws, n)), axis=1)
+        s1, j = perms[:, 1 : d + 1], perms[:, 0]
+        isolated = _uncovered(cols, s1, cols[j][:, None, :])[:, 0]
+        if not isolated.all():
+            t = int(np.argmin(isolated))
+            # Redraw up to the failing draw, so rng ends where a draw-by-draw loop would.
+            gen.bit_generator.state = state
+            gen.permuted(np.broadcast_to(items, (t + 1, n)), axis=1)
+            witness = (tuple(sorted(int(i) for i in s1[t])), int(j[t]))
+            return DisjunctCertificate(d, False, mode, start + t + 1, witness)
+    return DisjunctCertificate(d, True, mode, trials)
 
 
 def check_disjunct_slow(m: BitMatrix, d: int) -> bool:
@@ -308,6 +358,10 @@ def validate_good(
     """Sample defective sets of every cardinality in [u, d] and run the
     fixed-D checker at the given budget.  Returns a summary dict; the
     "failure" entry holds the first failing (cardinality, items) pair."""
+    if sets_per_cardinality < 1:
+        raise ParameterError(
+            f"validation needs at least one set per cardinality, got {sets_per_cardinality}"
+        )
     for size in range(params.u, params.d + 1):
         for _ in range(sets_per_cardinality):
             dset = _sample_defective_set(rng, params.n, size)

@@ -269,6 +269,20 @@ class TestMalformedInput:
                       "--y", str(tmp_path / "missing.vec"))
         assert code == 2
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_sampled_verify_without_draws(self, bundle, tmp_path, capsys, trials):
+        code, _ = run(capsys, "verify", str(bundle / "M.mat"), "--d", "15",
+                      "--mode", "sampled", "--trials", trials,
+                      "--out", str(tmp_path / "cert.json"))
+        assert code == 2
+
+    @pytest.mark.parametrize("sets", ["0", "-3"])
+    def test_gen_without_validation_sets(self, tmp_path, capsys, sets):
+        code, _ = run(capsys, "gen", "--n", "16", "--d", "3", "--u", "2", "--e", "1",
+                      "--p", "0.65", "--seed", "7", "--validation-sets", sets,
+                      "--out", str(tmp_path / "b"))
+        assert code == 2
+
     def test_negative_error_budget(self, bundle, tmp_path, capsys):
         y_path = tmp_path / "y.vec"
         run(capsys, "encode", "--bundle", str(bundle),

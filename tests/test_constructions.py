@@ -1,9 +1,14 @@
+import hashlib
 import math
 from itertools import combinations
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tgt import constructions
 from tgt import (
     BitMatrix,
     DefectiveSet,
@@ -77,7 +82,151 @@ class TestVerifyDisjunct:
             verify_disjunct(BitMatrix.identity(4), 4)
 
 
+def reference_exhaustive(m: BitMatrix, d: int) -> constructions.DisjunctCertificate:
+    """The per-subset walk verify_disjunct's exhaustive mode replaced."""
+    n = m.cols
+    a = m.to_array()
+    checked = 0
+    for s1 in combinations(range(n), d):
+        zero_rows = ~a[:, s1].any(axis=1)
+        isolated = a[zero_rows].any(axis=0) if zero_rows.any() else np.zeros(n, bool)
+        isolated[list(s1)] = True
+        checked += n - d
+        if not isolated.all():
+            j = int(np.flatnonzero(~isolated)[0])
+            return constructions.DisjunctCertificate(d, False, "exhaustive", checked, (s1, j))
+    return constructions.DisjunctCertificate(d, True, "exhaustive", checked)
+
+
+def reference_sampled(m: BitMatrix, d: int, trials: int, gen: np.random.Generator):
+    """The per-draw loop verify_disjunct's sampled mode replaced."""
+    a = m.to_array()
+    for t in range(trials):
+        perm = gen.permutation(m.cols)
+        j = int(perm[0])
+        s1 = tuple(sorted(int(i) for i in perm[1 : d + 1]))
+        zero_rows = ~a[:, s1].any(axis=1)
+        if not a[zero_rows, j].any():
+            return constructions.DisjunctCertificate(d, False, "sampled", t + 1, (s1, j))
+    return constructions.DisjunctCertificate(d, True, "sampled", trials)
+
+
+# Chunk sizes in bytes: the default, one subset or draw per chunk, and a few per chunk.
+CHUNKS = [constructions._CHUNK_BYTES, 1, 4096]
+
+small_matrices = st.tuples(
+    st.integers(3, 21),  # n
+    st.integers(1, 5),  # d
+    st.integers(1, 40),  # k
+    st.floats(0.05, 0.6),  # density
+    st.integers(0, 2**32 - 1),  # seed
+).filter(lambda c: c[1] < c[0])
+
+
+def random_matrix(case) -> tuple[BitMatrix, int]:
+    n, d, k, density, seed = case
+    return BitMatrix.random(np.random.default_rng(seed), k, n, density), d
+
+
+class TestVerifyDisjunctReference:
+    """The batched bitset kernel against the loops it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @settings(max_examples=60, deadline=None)
+    @given(case=small_matrices)
+    def test_exhaustive_matches_loop(self, chunk, case):
+        m, d = random_matrix(case)
+        with patch.object(constructions, "_CHUNK_BYTES", chunk):
+            assert verify_disjunct(m, d) == reference_exhaustive(m, d)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @settings(max_examples=60, deadline=None)
+    @given(case=small_matrices, trials=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_sampled_matches_loop(self, chunk, case, trials, seed):
+        m, d = random_matrix(case)
+        gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        with patch.object(constructions, "_CHUNK_BYTES", chunk):
+            cert = verify_disjunct(m, d, mode="sampled", trials=trials, rng=gen)
+        assert cert == reference_sampled(m, d, trials, ref_gen)
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 33, 1024])
+    @pytest.mark.parametrize("b", [1, 2, 7])
+    def test_batched_permutations_match_sequential_draws(self, n, b):
+        """Sampled mode draws b permutations per call to `permuted`; the
+        stream must equal b calls to `permutation`, generator state included."""
+        gen, ref_gen = np.random.default_rng(5), np.random.default_rng(5)
+        batched = gen.permuted(np.broadcast_to(np.arange(n), (b, n)), axis=1)
+        sequential = np.stack([ref_gen.permutation(n) for _ in range(b)])
+        assert (batched == sequential).all()
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    def test_failure_past_first_chunk(self):
+        # Fails at subset 492 and at draw 957; 4096 bytes hold 13 per chunk here.
+        m = BitMatrix.random(np.random.default_rng(36), 60, 16, 1 / 6)
+        for mode, failing in (("exhaustive", 492 * 12), ("sampled", 957)):
+            gen, ref_gen = np.random.default_rng(1), np.random.default_rng(1)
+            with patch.object(constructions, "_CHUNK_BYTES", 4096):
+                cert = verify_disjunct(m, 4, mode=mode, rng=gen)
+            ref = verify_disjunct(m, 4, mode=mode, rng=ref_gen)
+            assert not ref.verified and ref.trials == failing and cert == ref
+            assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_sampled_needs_a_draw(self, trials):
+        with pytest.raises(ParameterError):
+            verify_disjunct(BitMatrix.ones(3, 6), 1, mode="sampled", trials=trials)
+
+
+def attempts_of(monkeypatch) -> list:
+    """Record every certificate construct_disjunct asks verify_disjunct for."""
+    certs = []
+    inner = constructions.verify_disjunct
+
+    def recording(*args, **kwargs):
+        certs.append(inner(*args, **kwargs))
+        return certs[-1]
+
+    monkeypatch.setattr(constructions, "verify_disjunct", recording)
+    return certs
+
+
+# Recorded with the per-subset and per-draw loops: every attempt's (trials,
+# witness), the accepted M's packed digest and the generator's next draw.
+CONSTRUCT_PINS = {
+    "exhaustive": (
+        (16, 2, 2, 1.4),
+        [(2249, ((1, 8, 13), 12)), (1209, ((0, 10, 13), 14)), (6474, ((7, 11, 15), 12)),
+         (3068, ((2, 6, 13), 12)), (2600, ((2, 3, 7), 6)), (1599, ((1, 3, 8), 5)),
+         (468, ((0, 3, 12), 7)), (520, ((0, 4, 5), 1)), (5265, ((5, 7, 8), 0)),
+         (1989, ((1, 6, 8), 14)), (4251, ((3, 10, 12), 5)), (7280, None)],
+        "a2b815904ea61b6faf45d0cb10aff0c125875a541083b87aa821ac11da0284f8",
+        4496522283001210926,
+    ),
+    "sampled": (
+        (400, 2, 10, 0.9),
+        [(2401, ((253, 275, 338), 150)), (1342, ((47, 169, 193), 42)),
+         (7340, ((236, 292, 390), 20)), (9684, ((135, 176, 342), 141)),
+         (15892, ((15, 52, 136), 144)), (20000, None)],
+        "dcb512cd9368d9ec859baf10cc913c591d57c47754ecf2a713712d5d8ee57b58",
+        6263823584707872862,
+    ),
+}
+
+
 class TestConstructDisjunct:
+    @pytest.mark.parametrize("method", sorted(CONSTRUCT_PINS))
+    def test_pinned_attempts(self, monkeypatch, method):
+        (n, d, seed, c), attempts, digest, next_draw = CONSTRUCT_PINS[method]
+        certs = attempts_of(monkeypatch)
+        rng = np.random.default_rng(seed)
+        m, cert = construct_disjunct(n, d, rng, c=c)
+        assert [(x.trials, x.witness) for x in certs] == attempts
+        assert all(x.method == method and x.d == d + 1 for x in certs)
+        assert cert == certs[-1] and cert.verified
+        assert hashlib.sha256(m.packed()).hexdigest() == digest
+        assert int(rng.integers(2**63)) == next_draw
+
     def test_small_two_disjunct(self):
         m, cert = construct_disjunct(8, 1, np.random.default_rng(0))
         assert cert.verified and cert.d == 2 and cert.method == "exhaustive"
@@ -170,6 +319,13 @@ class TestConstructGood:
     def test_invalid_params_rejected(self):
         with pytest.raises(ParameterError):
             SchemeParams(n=32, d=2, u=4)
+
+    @pytest.mark.parametrize("sets", [0, -3])
+    def test_validation_needs_a_set(self, sets):
+        params = SchemeParams(n=16, d=3, u=2, e=0, p=0.5)
+        g = BitMatrix.ones(4, 16)
+        with pytest.raises(ParameterError):
+            validate_good(g, params, np.random.default_rng(0), sets, 0)
 
     def test_fresh_sets_after_construction(self):
         # resampled validation, distinct generator from the construction one

@@ -8,6 +8,7 @@ not a multiple of 8.
 
 import base64
 import hashlib
+import json
 import shutil
 
 import pytest
@@ -36,6 +37,28 @@ SIMULATE_CSV = "92f48aa6b608a90c4d2dba910690e2e8edbb96f8209bba9b9c2cfdb46ae6708a
 ADVERSARIAL_CSV = "8c78cce61a5d5e542cb194a40dd2706043c5902b4abd71dec91efd2720b1063d"
 ENCODE_VEC = "3278fd322c7f604c550ff66a2d911f8de61d26510417d1334383de45112b1492"
 DECODE_JSON = "560ab91419e037b7372f40ff4d2dd91936e7bec7c24196cb32efc7501290e7ac"
+
+# `tgt verify` payloads (minus "path") for the n=16 bundle's M.mat, with exit codes.
+VERIFY_PAYLOADS = {
+    "d7-exhaustive": (["--d", "7"], 0, {
+        "check": "disjunct", "d": 7, "kind": "disjunct", "method": "exhaustive",
+        "trials": 102960, "verified": True,
+    }),
+    "d8-exhaustive": (["--d", "8"], 4, {
+        "check": "disjunct", "d": 8, "kind": "disjunct", "method": "exhaustive",
+        "trials": 38728, "verified": False,
+        "witness": {"column": 10, "s1": [1, 4, 5, 6, 8, 11, 12, 14]},
+    }),
+    "d8-sampled": (["--d", "8", "--mode", "sampled", "--trials", "20000", "--seed", "3"], 4, {
+        "check": "disjunct", "d": 8, "kind": "disjunct", "method": "sampled",
+        "trials": 7500, "verified": False,
+        "witness": {"column": 5, "s1": [2, 3, 4, 7, 8, 10, 15, 16]},
+    }),
+    "d6-sampled": (["--d", "6", "--mode", "sampled", "--trials", "20000", "--seed", "3"], 0, {
+        "check": "disjunct", "d": 6, "kind": "disjunct", "method": "sampled",
+        "trials": 20000, "verified": True,
+    }),
+}
 
 
 def sha256(path) -> str:
@@ -76,6 +99,17 @@ def test_encode_and_decode_digests(bundles, tmp_path):
     assert main(["decode", "--bundle", bundle, "--y", str(y), "--out", str(report)]) == 0
     assert sha256(y) == ENCODE_VEC
     assert sha256(report) == DECODE_JSON
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_PAYLOADS))
+def test_verify_payloads(bundles, tmp_path, capsys, case):
+    flags, code, expected = VERIFY_PAYLOADS[case]
+    capsys.readouterr()
+    args = ["verify", str(bundles / "b16" / "M.mat"), *flags, "--out", str(tmp_path / "c.json")]
+    assert main(args) == code
+    payload = json.loads(capsys.readouterr().out)
+    del payload["path"]
+    assert payload == expected
 
 
 def _tamper_payload(data: bytes, edit) -> bytes:
