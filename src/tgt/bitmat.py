@@ -2,7 +2,11 @@
 
 All simulation state is binary: pooling matrices, item vectors, outcome
 vectors.  The types here are immutable after construction, so they can be
-shared freely between threads and hashed / compared by value.
+shared freely between threads and hashed / compared by value.  This
+module alone decides how bits are stored: `BitVector` and `BitMatrix`
+share one immutable 0/1-array base, `pack_rows` is the one packer,
+`payload_bytes` the one padded payload size, and one reader parses the
+headers of matrix and vector files.
 
 Index convention: everything in memory is 0-based.  Conversion to the
 1-based item and test numbering used in files, reports, and CLI output
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import base64
 import json
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,73 +31,88 @@ _MAGIC_VEC = "TGTVEC"
 _VERSION = "v1"
 
 
-def _as_bit_array(data, ndim: int) -> np.ndarray:
-    a = np.asarray(data, dtype=np.uint8)
-    if a.ndim != ndim:
-        raise DimensionError(f"expected {ndim}-d data, got {a.ndim}-d")
-    if a.size == 0:
-        raise DimensionError("empty shapes are not allowed")
-    if not np.all((a == 0) | (a == 1)):
-        raise ValueError("entries must be 0 or 1")
-    a = a.copy()
-    a.flags.writeable = False
-    return a
-
-
 def pack_rows(a: np.ndarray) -> np.ndarray:
     """Pack 0/1 entries along the last axis in file bit order (LSB first)."""
     return np.packbits(a, axis=-1, bitorder="little")
 
 
-def packed_stream(rows: np.ndarray, cols: int) -> np.ndarray:
+def payload_bytes(nbits: int) -> int:
+    """Bytes that hold nbits in whole 64-bit words, as the file payload does."""
+    return -(-nbits // 64) * 8
+
+
+def packed_stream(rows: np.ndarray, cols: int, size: int | None = None) -> np.ndarray:
     """Join rows made by `pack_rows` into the flat uint8 file payload.
 
     Bit i of the row-major stream lives in byte i//8 at position i%8,
     which is the same layout for any word size with little-endian byte
-    order.  The payload is zero-padded to a whole number of 64-bit words.
-    When cols is not a multiple of 8, the zero bits that end each packed
-    row are squeezed out by unpacking and packing again.
+    order.  The payload is zero-padded to `size` bytes, by default the
+    `payload_bytes` of its bits.  When cols is not a multiple of 8, the
+    zero bits that end each packed row are squeezed out by unpacking and
+    packing again.
     """
     if cols % 8 and rows.ndim > 1:
         bits = np.unpackbits(rows, axis=-1, count=cols, bitorder="little")
         rows = np.packbits(bits, bitorder="little")
     flat = rows.reshape(-1)
-    if flat.size % 8:
-        flat = np.concatenate([flat, np.zeros(-flat.size % 8, dtype=np.uint8)])
+    size = payload_bytes(8 * flat.size) if size is None else size
+    if flat.size < size:
+        flat = np.concatenate([flat, np.zeros(size - flat.size, dtype=np.uint8)])
     return flat
 
 
-def _unpack_bits(payload: bytes, nbits: int) -> np.ndarray:
-    words = (nbits + 63) // 64
-    if len(payload) != words * 8:
-        raise ParseError(
-            f"payload holds {len(payload)} bytes, expected {words * 8} for {nbits} bits"
-        )
-    raw = np.frombuffer(payload, dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little")
-    if bits[nbits:].any():
-        raise ParseError("nonzero padding bits in payload")
-    return bits[:nbits]
-
-
-class BitVector:
-    """Immutable binary vector of length >= 1."""
+class _Bits:
+    """Immutable nonempty 0/1 array with `_ndim` dimensions, compared and
+    hashed by shape and bits."""
 
     __slots__ = ("_a",)
+    _ndim: int
 
     def __init__(self, data):
-        object.__setattr__(self, "_a", _as_bit_array(data, 1))
+        a = np.asarray(data, dtype=np.uint8)
+        if a.ndim != self._ndim:
+            raise DimensionError(f"expected {self._ndim}-d data, got {a.ndim}-d")
+        if a.size == 0:
+            raise DimensionError("empty shapes are not allowed")
+        if not np.all((a == 0) | (a == 1)):
+            raise ValueError("entries must be 0 or 1")
+        a = a.copy()
+        a.flags.writeable = False
+        object.__setattr__(self, "_a", a)
 
     def __setattr__(self, name, value):
-        raise AttributeError("BitVector is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def zeros(cls, n: int) -> "BitVector":
-        return cls(np.zeros(n, dtype=np.uint8))
+    def zeros(cls, *shape: int):
+        return cls(np.zeros(shape, dtype=np.uint8))
 
     @classmethod
-    def ones(cls, n: int) -> "BitVector":
-        return cls(np.ones(n, dtype=np.uint8))
+    def ones(cls, *shape: int):
+        return cls(np.ones(shape, dtype=np.uint8))
+
+    def to_array(self) -> np.ndarray:
+        return self._a
+
+    def packed(self) -> bytes:
+        return packed_stream(pack_rows(self._a), self._a.shape[-1]).tobytes()
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, _Bits)
+            and self._a.shape == other._a.shape
+            and bool(np.array_equal(self._a, other._a))
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._a.shape, self.packed()))
+
+
+class BitVector(_Bits):
+    """Immutable binary vector of length >= 1."""
+
+    __slots__ = ()
+    _ndim = 1
 
     @classmethod
     def from_support(cls, indices, n: int) -> "BitVector":
@@ -110,9 +130,6 @@ class BitVector:
     def __getitem__(self, i: int) -> int:
         return int(self._a[i])
 
-    def to_array(self) -> np.ndarray:
-        return self._a
-
     def weight(self) -> int:
         return int(self._a.sum())
 
@@ -120,43 +137,17 @@ class BitVector:
         """Strictly increasing 0-based indices of the set bits."""
         return np.flatnonzero(self._a)
 
-    def packed(self) -> bytes:
-        return packed_stream(pack_rows(self._a), len(self)).tobytes()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitVector)
-            and self._a.shape == other._a.shape
-            and bool(np.array_equal(self._a, other._a))
-        )
-
-    def __hash__(self) -> int:
-        return hash((len(self), self.packed()))
-
     def __repr__(self) -> str:
         body = "".join(str(b) for b in self._a[:64])
         tail = "..." if len(self) > 64 else ""
         return f"BitVector({body}{tail}, len={len(self)})"
 
 
-class BitMatrix:
+class BitMatrix(_Bits):
     """Immutable binary matrix with at least one row and one column."""
 
-    __slots__ = ("_a",)
-
-    def __init__(self, data):
-        object.__setattr__(self, "_a", _as_bit_array(data, 2))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BitMatrix is immutable")
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.uint8))
-
-    @classmethod
-    def ones(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(np.ones((rows, cols), dtype=np.uint8))
+    __slots__ = ()
+    _ndim = 2
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
@@ -188,43 +179,21 @@ class BitMatrix:
     def col(self, j: int) -> BitVector:
         return BitVector(self._a[:, j])
 
-    def to_array(self) -> np.ndarray:
-        return self._a
-
-    def packed(self) -> bytes:
-        return packed_stream(pack_rows(self._a), self.cols).tobytes()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitMatrix)
-            and self._a.shape == other._a.shape
-            and bool(np.array_equal(self._a, other._a))
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.shape, self.packed()))
-
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
 
 
+@dataclass(frozen=True, slots=True)
 class DefectiveSet:
     """A set of item indices (0-based in memory, 1-based in output)."""
 
-    __slots__ = ("_indices",)
+    indices: tuple[int, ...] = ()
 
-    def __init__(self, indices=()):
-        idx = tuple(sorted(set(int(i) for i in indices)))
+    def __post_init__(self):
+        idx = tuple(sorted(set(int(i) for i in self.indices)))
         if idx and idx[0] < 0:
             raise ValueError("item indices must be nonnegative")
-        object.__setattr__(self, "_indices", idx)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DefectiveSet is immutable")
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return self._indices
+        object.__setattr__(self, "indices", idx)
 
     @classmethod
     def from_vector(cls, x: BitVector) -> "DefectiveSet":
@@ -235,31 +204,25 @@ class DefectiveSet:
         return cls(int(i) - 1 for i in indices)
 
     def to_vector(self, n: int) -> BitVector:
-        return BitVector.from_support(self._indices, n)
+        return BitVector.from_support(self.indices, n)
 
     def to_one_based(self) -> list[int]:
-        return [i + 1 for i in self._indices]
+        return [i + 1 for i in self.indices]
 
     def __len__(self) -> int:
-        return len(self._indices)
+        return len(self.indices)
 
     def __iter__(self):
-        return iter(self._indices)
+        return iter(self.indices)
 
     def __contains__(self, item) -> bool:
-        return int(item) in self._indices
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DefectiveSet) and self._indices == other._indices
-
-    def __hash__(self) -> int:
-        return hash(self._indices)
+        return int(item) in self.indices
 
     def __or__(self, other: "DefectiveSet") -> "DefectiveSet":
-        return DefectiveSet(self._indices + other._indices)
+        return DefectiveSet(self.indices + other.indices)
 
     def __repr__(self) -> str:
-        return f"DefectiveSet({list(self._indices)})"
+        return f"DefectiveSet({list(self.indices)})"
 
 
 def complement(m: BitMatrix) -> BitMatrix:
@@ -329,38 +292,55 @@ def _parse_int_field(token: str, name: str) -> int:
     return n
 
 
-def _decode_payload(lines: list[str], nbits: int) -> np.ndarray:
-    if len(lines) < 2 or not lines[1].strip():
+def _split_file(data: bytes, magic: str, fields: int) -> tuple[list[str], str]:
+    """Check the magic and version of a matrix or vector file; returns the
+    remaining `fields - 2` header fields and the base64 payload line."""
+    noun = "matrix" if magic == _MAGIC_MAT else "vector"
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{noun} file is not ASCII") from exc
+    lines = text.split("\n")
+    head = lines[0].split(" ", fields - 1)
+    if len(head) != fields or head[0] != magic or head[1] != _VERSION:
+        raise ParseError(f"bad {noun} header: {lines[0]!r}")
+    return head[2:], lines[1].strip() if len(lines) > 1 else ""
+
+
+def _unpack_bits(payload: str, nbits: int) -> np.ndarray:
+    """The first nbits of a base64 payload line; the rest must be zero padding."""
+    if not payload:
         raise ParseError("missing payload")
     try:
-        payload = base64.b64decode(lines[1].strip(), validate=True)
+        raw = np.frombuffer(base64.b64decode(payload, validate=True), dtype=np.uint8)
     except Exception as exc:
         raise ParseError("payload is not valid base64") from exc
-    return _unpack_bits(payload, nbits)
+    size = payload_bytes(nbits)
+    if raw.size != size:
+        raise ParseError(
+            f"payload holds {raw.size} bytes, expected {size} for {nbits} bits"
+        )
+    bits = np.unpackbits(raw, bitorder="little")
+    if bits[nbits:].any():
+        raise ParseError("nonzero padding bits in payload")
+    return bits[:nbits]
 
 
 def load_matrix(data: bytes) -> tuple[BitMatrix, str, dict]:
     """Parse a matrix file; returns (matrix, kind, params)."""
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise ParseError("matrix file is not ASCII") from exc
-    lines = text.split("\n")
-    fields = lines[0].split(" ", 5)
-    if len(fields) != 6 or fields[0] != _MAGIC_MAT or fields[1] != _VERSION:
-        raise ParseError(f"bad matrix header: {lines[0]!r}")
-    rows = _parse_int_field(fields[2], "rows")
-    cols = _parse_int_field(fields[3], "cols")
-    kind = _parse_field(fields[4], "kind")
+    fields, payload = _split_file(data, _MAGIC_MAT, 6)
+    rows = _parse_int_field(fields[0], "rows")
+    cols = _parse_int_field(fields[1], "cols")
+    kind = _parse_field(fields[2], "kind")
     if kind not in MATRIX_KINDS:
         raise ParseError(f"unknown matrix kind {kind!r}")
     try:
-        params = json.loads(_parse_field(fields[5], "params"))
+        params = json.loads(_parse_field(fields[3], "params"))
     except json.JSONDecodeError as exc:
         raise ParseError("params field is not valid JSON") from exc
     if not isinstance(params, dict):
         raise ParseError("params field must be a JSON object")
-    bits = _decode_payload(lines, rows * cols)
+    bits = _unpack_bits(payload, rows * cols)
     return BitMatrix(bits.reshape(rows, cols)), kind, params
 
 
@@ -373,13 +353,6 @@ def serialize_vector(v: BitVector) -> bytes:
 
 
 def deserialize_vector(data: bytes) -> BitVector:
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise ParseError("vector file is not ASCII") from exc
-    lines = text.split("\n")
-    fields = lines[0].split(" ")
-    if len(fields) != 3 or fields[0] != _MAGIC_VEC or fields[1] != _VERSION:
-        raise ParseError(f"bad vector header: {lines[0]!r}")
-    n = _parse_int_field(fields[2], "len")
-    return BitVector(_decode_payload(lines, n))
+    fields, payload = _split_file(data, _MAGIC_VEC, 3)
+    n = _parse_int_field(fields[0], "len")
+    return BitVector(_unpack_bits(payload, n))

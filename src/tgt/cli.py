@@ -32,6 +32,7 @@ from .codec import (
     save_bundle,
 )
 from .constructions import (
+    _sample_defective_set,
     construct_disjunct,
     construct_good,
     validate_good,
@@ -72,10 +73,6 @@ def generate_scheme(params: SchemeParams, seed: int, c: float, c_g: float,
     return Scheme(params, g, m), cert.to_json(), validation
 
 
-def _sample_defectives(rng: np.random.Generator, n: int, size: int) -> DefectiveSet:
-    return DefectiveSet(rng.choice(n, size=size, replace=False).tolist())
-
-
 def _join(indices_one_based: list[int]) -> str:
     return "|".join(str(i) for i in indices_one_based)
 
@@ -103,7 +100,7 @@ def run_trials(scheme: Scheme, trials: int, seed: int, run_e: int,
     for trial in range(1, trials + 1):
         rng = np.random.default_rng(seed ^ trial)
         size = int(rng.integers(low, params.d + 1))
-        truth = _sample_defectives(rng, params.n, size)
+        truth = _sample_defective_set(rng, params.n, size)
         x = truth.to_vector(params.n)
         t0 = time.perf_counter_ns()
         flat = encode(scheme, x)
@@ -301,6 +298,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.trials < 1:
+        raise ParameterError(f"need at least one trial, got {args.trials}")
     grid = []
     for n in _int_list(args.n):
         for d in _int_list(args.d):
@@ -342,7 +341,10 @@ def cmd_bench(args) -> int:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()] if text else []
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ParseError(f"need comma-separated integers, got {text!r}") from exc
 
 
 def _params_from(args) -> SchemeParams:

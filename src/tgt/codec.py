@@ -44,27 +44,26 @@ from .bitmat import (
     matrix_header,
     pack_rows,
     packed_stream,
+    payload_bytes,
     serialize_matrix,
 )
 from .errors import CoverOverflowError, DimensionError, ParameterError, ParseError
 from .semantics import SchemeParams
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Scheme:
     """Immutable (params, G, M).  The test matrix T is derived from G and M."""
 
-    __slots__ = ("params", "g", "m")
+    params: SchemeParams
+    g: BitMatrix
+    m: BitMatrix
 
-    def __init__(self, params: SchemeParams, g: BitMatrix, m: BitMatrix):
-        if g.cols != m.cols:
-            raise DimensionError(f"column mismatch: G has {g.cols}, M has {m.cols}")
-        if g.cols != params.n:
-            raise DimensionError(f"params.n={params.n} but matrices have {g.cols} columns")
-        for name, value in (("params", params), ("g", g), ("m", m)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scheme is immutable")
+    def __post_init__(self):
+        if self.g.cols != self.m.cols:
+            raise DimensionError(f"column mismatch: G has {self.g.cols}, M has {self.m.cols}")
+        if self.g.cols != self.params.n:
+            raise DimensionError(f"params.n={self.params.n} but G and M have {self.g.cols} columns")
 
     @property
     def h(self) -> int:
@@ -219,8 +218,7 @@ def decode_blocks(scheme: Scheme, y: BitVector) -> DecodeReport:
     outcomes.
     """
     h, k = scheme.h, scheme.k
-    if len(y) != (2 * k + 1) * h:
-        raise DimensionError(f"outcome has {len(y)} bits, scheme has {(2 * k + 1) * h} tests")
+    split_outcome(y, h, k)
     u = scheme.params.u
     ma = scheme.m.to_array()
     view = y.to_array().reshape(h, 2 * k + 1)
@@ -308,16 +306,14 @@ def _t_pieces(scheme: Scheme, header: dict):
     unit = 24 // math.gcd(block_bits, 24)  # fewest blocks that fill whole 3-byte groups
     step = unit * max(1, _PIECE_BYTES * 8 // (unit * block_bits))
     piece = max(3, _PIECE_BYTES - _PIECE_BYTES % 3)
-    size = -(-scheme.tests * n // 64) * 8  # payload bytes, padded to 64-bit words
+    size = payload_bytes(scheme.tests * n)
     yield matrix_header(scheme.tests, n, "final", header).encode("ascii") + b"\n"
     rows = np.empty((step, *pattern.shape), dtype=word)
     for start in range(0, h, step):
         stop = min(start + step, h)
         group = np.bitwise_and(g[start:stop, None, :], pattern[None], out=rows[: stop - start])
-        payload = packed_stream(group.view(np.uint8).reshape(-1, row_bytes), n)
         length = (size if stop == h else stop * block_bits // 8) - start * block_bits // 8
-        if payload.size < length:
-            payload = np.concatenate([payload, np.zeros(length - payload.size, dtype=np.uint8)])
+        payload = packed_stream(group.view(np.uint8).reshape(-1, row_bytes), n, length)
         for at in range(0, length, piece):
             yield base64.b64encode(payload[at : min(at + piece, length)])
     yield b"\n"
@@ -394,10 +390,11 @@ def save_bundle(
 def load_bundle(directory: str | Path) -> tuple[Scheme, dict]:
     """Rebuild a scheme from a bundle directory.
 
-    T.mat must equal, byte for byte, the file save_bundle would write for
-    the stored G and M under G.mat's header parameters.  The check reads
-    T.mat piece by piece against `_t_pieces`, so neither copy of the file
-    is ever whole in memory.
+    The manifest's h, k and t must match G and M, and the headers of
+    G.mat and M.mat must carry the manifest's parameters.  T.mat must
+    equal, byte for byte, the file save_bundle would write for the stored
+    G and M.  The check reads T.mat piece by piece against `_t_pieces`, so
+    neither copy of the file is ever whole in memory.
     """
     directory = Path(directory)
     try:
@@ -405,11 +402,18 @@ def load_bundle(directory: str | Path) -> tuple[Scheme, dict]:
     except ValueError as exc:
         raise ParseError(f"cannot read scheme manifest in {directory}: {exc}") from exc
     params = _manifest_params(manifest, directory)
-    g, kind_g, header = load_matrix(read_file(directory / "G.mat"))
-    m, kind_m, _ = load_matrix(read_file(directory / "M.mat"))
+    g, kind_g, header_g = load_matrix(read_file(directory / "G.mat"))
+    m, kind_m, header_m = load_matrix(read_file(directory / "M.mat"))
     if kind_g != "good" or kind_m != "disjunct":
         raise ParseError(f"unexpected matrix kinds {kind_g!r}/{kind_m!r} in bundle")
     scheme = Scheme(params, g, m)
+    for key, value in (("h", scheme.h), ("k", scheme.k), ("t", scheme.tests)):
+        if manifest.get(key) != value:
+            raise ParseError(f"manifest says {key}={manifest.get(key)!r}, G and M give {value}")
+    header = _header_params(params, *(manifest.get(key) for key in ("seed", "c", "c_g")))
+    for name, stored in (("G.mat", header_g), ("M.mat", header_m)):
+        if stored != header:
+            raise ParseError(f"{name} header params {stored} do not match the manifest's {header}")
     try:
         with open(directory / "T.mat", "rb") as fh:
             intact = all(fh.read(len(piece)) == piece for piece in _t_pieces(scheme, header))

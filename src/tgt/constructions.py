@@ -35,7 +35,7 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .bitmat import BitMatrix, DefectiveSet
+from .bitmat import BitMatrix, DefectiveSet, pack_rows, payload_bytes
 from .errors import BudgetError, ConstructionError, ParameterError
 from .semantics import SchemeParams
 
@@ -49,11 +49,22 @@ def work_budget(budget: int | None = None) -> int:
     if budget is not None:
         return budget
     env = os.environ.get("TGT_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise ParameterError(f"TGT_BUDGET must be an integer, got {env!r}") from exc
+
+
+def _check_scale(name: str, c: float) -> None:
+    if not (math.isfinite(c) and c > 0):
+        raise ParameterError(f"{name} must be finite and > 0, got {c}")
 
 
 def disjunct_row_count(n: int, d: int, c: float = 3.0) -> int:
     """Rows for a random (d+1)-disjunct candidate on n columns."""
+    _check_scale("c", c)
     return math.ceil(c * (d + 2) ** 2 * math.log(n))
 
 
@@ -63,6 +74,7 @@ def good_row_count(params: SchemeParams, c_g: float = 2.0) -> int:
     Grows with d0^2 log(n/d0) and with the 1/(1-p)^2 margin; never fewer
     rows than layers.
     """
+    _check_scale("c_g", c_g)
     d0 = params.d0
     h = math.ceil(c_g * d0 * d0 * math.log(params.n / d0) / (1.0 - params.p) ** 2)
     return max(h, params.d - params.u + 1)
@@ -124,9 +136,8 @@ def _exhaustive_cost(n: int, d: int) -> int:
 
 def _packed_columns(m: BitMatrix) -> np.ndarray:
     """Column supports as bitsets: (cols, words) uint64, zero padding bits."""
-    packed = np.packbits(m.to_array().T, axis=1)
-    words = -(-packed.shape[1] // 8)
-    padded = np.zeros((m.cols, 8 * words), np.uint8)
+    packed = pack_rows(m.to_array().T)
+    padded = np.zeros((m.cols, payload_bytes(m.rows)), np.uint8)
     padded[:, : packed.shape[1]] = packed
     return padded.view(np.uint64)
 
@@ -345,6 +356,7 @@ def is_good_for(g: BitMatrix, dset: DefectiveSet, u: int, e: int) -> GoodnessRep
 
 
 def _sample_defective_set(rng: np.random.Generator, n: int, size: int) -> DefectiveSet:
+    """`size` distinct items drawn uniformly from n: the one defective-set sampler."""
     return DefectiveSet(rng.choice(n, size=size, replace=False).tolist())
 
 

@@ -49,11 +49,7 @@ class SchemeParams:
 
 def threshold_test(row: BitVector, x: BitVector, u: int) -> int:
     """1 iff the pool `row` contains at least u items of x."""
-    if len(row) != len(x):
-        raise DimensionError(f"length mismatch: {len(row)} vs {len(x)}")
-    if u < 1:
-        raise ParameterError(f"threshold must be >= 1, got {u}")
-    return int(int(row.to_array() @ x.to_array().astype(np.int64)) >= u)
+    return apply_threshold(BitMatrix(row.to_array()[None]), x, u)[0]
 
 
 def or_test(row: BitVector, x: BitVector) -> int:
@@ -89,10 +85,9 @@ def inject_errors(
     if e > len(y):
         raise ParameterError(f"cannot flip {e} positions in a length-{len(y)} vector")
     count = int(rng.integers(0, e + 1)) if up_to else e
-    positions = np.sort(rng.choice(len(y), size=count, replace=False)) if count else np.array([], dtype=np.int64)
-    flipped = y.to_array().copy()
-    flipped[positions] ^= 1
-    return BitVector(flipped), tuple(int(i) for i in positions)
+    drawn = rng.choice(len(y), size=count, replace=False) if count else []
+    positions = tuple(sorted(int(i) for i in drawn))
+    return flip_positions(y, positions), positions
 
 
 def flip_positions(y: BitVector, positions) -> BitVector:

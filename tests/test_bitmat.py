@@ -197,3 +197,43 @@ class TestSerialization:
             deserialize_vector(b"TGTVEC v2 len=3\nAA==\n")
         with pytest.raises(ParseError):
             deserialize_vector(b"TGTVEC v1 len=0\n\n")
+
+
+class TestValueSemantics:
+    @given(bit_matrices)
+    def test_equal_bits_give_equal_objects_and_hashes(self, a):
+        for cls, data in ((BitMatrix, a), (BitVector, a.ravel())):
+            one, other = cls(data), cls(data.copy())
+            assert one == other and hash(one) == hash(other)
+
+    @given(bit_matrices)
+    def test_different_bits_differ(self, a):
+        flipped = a.copy()
+        flipped[0, 0] ^= 1
+        assert BitMatrix(a) != BitMatrix(flipped)
+
+    @given(bit_vectors)
+    def test_one_row_matrix_never_equals_vector(self, a):
+        assert BitMatrix(a[None]) != BitVector(a)
+        assert BitVector(a) != BitMatrix(a[None])
+
+    @given(bit_matrices)
+    def test_packed_is_little_bit_order_padded_to_words(self, a):
+        expected = np.packbits(a.ravel(), bitorder="little").tobytes()
+        expected += bytes(-len(expected) % 8)
+        assert BitMatrix(a).packed() == expected
+        assert BitVector(a.ravel()).packed() == expected
+
+    def test_shapes_of_zeros_and_ones(self):
+        assert BitVector.zeros(5).to_array().shape == (5,)
+        assert BitMatrix.ones(2, 3).to_array().tolist() == [[1, 1, 1], [1, 1, 1]]
+        with pytest.raises(DimensionError):
+            BitVector.zeros(2, 3)
+
+    def test_value_types_are_immutable(self):
+        with pytest.raises(AttributeError):
+            BitVector.ones(3)._a = None
+        with pytest.raises(AttributeError):
+            DefectiveSet([1, 2]).indices = ()
+        assert DefectiveSet([2, 1]) == DefectiveSet((1, 2))
+        assert hash(DefectiveSet([2, 1])) == hash(DefectiveSet((1, 2)))

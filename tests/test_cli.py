@@ -1,8 +1,11 @@
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tgt import BitMatrix, serialize_matrix
 from tgt.cli import main
@@ -290,3 +293,102 @@ class TestMalformedInput:
         code, _ = run(capsys, "decode", "--bundle", str(bundle),
                       "--y", str(y_path), "--e", "-1")
         assert code == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("h", 999), ("k", 7), ("t", 5), ("e", 3), ("seed", 8), ("c", 2.5), ("c_g", None),
+    ])
+    def test_manifest_disagrees_with_matrices(self, bundle, tmp_path, capsys, key, value):
+        copy = tmp_path / "b"
+        shutil.copytree(bundle, copy)
+        manifest = json.loads((copy / "scheme.json").read_text())
+        manifest[key] = value
+        (copy / "scheme.json").write_text(json.dumps(manifest))
+        code = main(["decode", "--bundle", str(copy), "--y", str(tmp_path / "y.vec")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_m_header_disagrees_with_manifest(self, bundle, tmp_path, capsys):
+        copy = tmp_path / "b"
+        shutil.copytree(bundle, copy)
+        data = (copy / "M.mat").read_bytes()
+        assert b'"e":1' in data
+        (copy / "M.mat").write_bytes(data.replace(b'"e":1', b'"e":3', 1))
+        code = main(["encode", "--bundle", str(copy),
+                     "--defectives", "2,9", "--out", str(tmp_path / "y.vec")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--n", "16", "--d", "3", "--u", "2", "--p", "0.6", "--trials", "0"],
+        ["bench", "--n", "1x", "--d", "3", "--u", "2"],
+        ["bench", "--n", "16", "--d", "3", "--u", "2", "--e", "x"],
+        *(["gen", "--n", "16", "--d", "3", "--u", "2", flag, value, "--out", "unused"]
+          for flag, value in [("--c", "-1"), ("--c", "nan"), ("--c", "inf"), ("--c-g", "nan")]),
+    ])
+    def test_bad_scalar_is_a_usage_error(self, tmp_path, capsys, argv):
+        code = main([str(tmp_path / a) if a == "unused" else a for a in argv])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "unused").exists()
+
+    def test_bad_budget_variable(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("TGT_BUDGET", "abc")
+        code = main(["gen", "--n", "16", "--d", "3", "--u", "2", "--out", str(tmp_path / "b")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def _flag(valid, invalid):
+    """Values of one flag: a valid one nine times in ten, else an invalid one."""
+    return st.integers(0, 9).flatmap(
+        lambda i: st.sampled_from([str(v) for v in (invalid if i == 0 else valid)])
+    )
+
+
+_SCALES = ["0", "-1", "nan", "inf", "x"]
+_REQUIRED = {
+    "--n": _flag(range(6, 17), [-1, 0, 1, "x"]),
+    "--d": _flag(range(2, 6), [-1, 0, 1, 17]),
+    "--u": _flag([2, 3], [-1, 0, 1, 6]),
+}
+_OPTIONAL = {
+    "--e": _flag([0, 1], [-1]),
+    "--p": _flag([0, 0.5, 0.65], [-0.1, 1, "nan", "x"]),
+    "--seed": _flag([0, 1, 7], ["x"]),
+    "--c": _flag([3, 2, 1], _SCALES),
+    "--c-g": _flag([2, 3], _SCALES),
+    "--validation-sets": _flag([1, 20, 50], [0, -1]),
+}
+_COMMANDS = {
+    "gen": ({}, {"--max-attempts": _flag([1, 3], [0, -1])}),
+    "simulate": ({"--trials": _flag([1, 2, 3], [0, -1])},
+                 {"--max-attempts": _flag([1, 3], [0, -1])}),
+    "bench": ({"--trials": _flag([1, 2, 3], [0, -1]),
+               "--n": _flag(range(6, 17), [-1, "x", "", "1x", "8,16"])},
+              {"--e": _flag([0, 1, "0,1"], [-1, "x"])}),
+}
+
+
+@st.composite
+def _argvs(draw):
+    """gen, simulate or bench argv with n <= 16 and at most 3 trials."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    required, optional = _COMMANDS[command]
+    flags = draw(st.fixed_dictionaries(
+        {**_REQUIRED, **required}, optional={**_OPTIONAL, **optional}
+    ))
+    return [command, *(token for pair in flags.items() for token in pair)]
+
+
+class TestArgvFuzz:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_argvs())
+    def test_main_only_exits_with_documented_codes(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            if argv[0] == "gen":
+                argv = [*argv, "--out", str(Path(tmp) / "b")]
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in {0, 2, 3, 4, 5}, argv
