@@ -73,6 +73,16 @@ def generate_scheme(params: SchemeParams, seed: int, c: float, c_g: float,
     return Scheme(params, g, m), cert.to_json(), validation
 
 
+def _resolve_e(requested: int | None, certified_e: int) -> int:
+    """The flip budget to decode with: `--e` if given, else the certified e.
+    Warns on stderr when it exceeds the e the scheme was certified for."""
+    run_e = certified_e if requested is None else requested
+    if run_e > certified_e:
+        print(f"warning: running {run_e} flips against a bundle certified for "
+              f"{certified_e}; results are uncertified", file=sys.stderr)
+    return run_e
+
+
 def _join(indices_one_based: list[int]) -> str:
     return "|".join(str(i) for i in indices_one_based)
 
@@ -91,12 +101,6 @@ def run_trials(scheme: Scheme, trials: int, seed: int, run_e: int,
     if not (0 <= low <= params.d):
         raise ParameterError(f"min defectives must be in [0, d], got {low}")
     records = []
-    exact_hits = 0
-    evaluated = 0
-    sub_expected_empty = 0
-    sub_trials = 0
-    decode_ns_total = 0
-    false_accepts_total = 0
     for trial in range(1, trials + 1):
         rng = np.random.default_rng(seed ^ trial)
         size = int(rng.integers(low, params.d + 1))
@@ -114,43 +118,34 @@ def run_trials(scheme: Scheme, trials: int, seed: int, run_e: int,
         report = decode_blocks(scheme, observed)
         decoded = report.multiset.at_least(run_e + 1)
         t3 = time.perf_counter_ns()
-        check = cross_check(decoded, truth)
-        accepted = sum(1 for tr in report.traces if tr.accepted)
-        false_accepts = sum(
-            1 for tr in report.traces
-            if tr.accepted and any(j not in truth for j in tr.items)
-        )
-        false_accepts_total += false_accepts
-        if size >= params.u:
-            evaluated += 1
-            exact_hits += int(check.exact)
-        else:
-            sub_trials += 1
-            sub_expected_empty += int(len(decoded) == 0)
-        decode_ns_total += t3 - t2
         records.append({
             "trial": trial,
             "size": size,
             "defectives": _join(truth.to_one_based()),
             "flips": _join([i + 1 for i in flips]),
             "decoded": _join(decoded.to_one_based()),
-            "exact": int(check.exact),
-            "accepted_blocks": accepted,
-            "false_accept_blocks": false_accepts,
+            "exact": int(cross_check(decoded, truth).exact),
+            "accepted_blocks": sum(1 for tr in report.traces if tr.accepted),
+            "false_accept_blocks": sum(
+                1 for tr in report.traces
+                if tr.accepted and any(j not in truth for j in tr.items)
+            ),
             "h": scheme.h,
             "k": scheme.k,
             "t": scheme.tests,
             "encode_ns": t1 - t0,
             "decode_ns": t3 - t2,
         })
+    exact = [r["exact"] for r in records if r["size"] >= params.u]
+    empty = [r["decoded"] == "" for r in records if r["size"] < params.u]
     summary = {
         "trials": trials,
-        "evaluated": evaluated,
-        "exact_rate": (exact_hits / evaluated) if evaluated else None,
-        "mean_decode_ns": decode_ns_total // max(trials, 1),
-        "block_false_accepts": false_accepts_total,
-        "subthreshold_trials": sub_trials,
-        "subthreshold_empty": sub_expected_empty,
+        "evaluated": len(exact),
+        "exact_rate": sum(exact) / len(exact) if exact else None,
+        "mean_decode_ns": sum(r["decode_ns"] for r in records) // max(trials, 1),
+        "block_false_accepts": sum(r["false_accept_blocks"] for r in records),
+        "subthreshold_trials": len(empty),
+        "subthreshold_empty": sum(empty),
     }
     return records, summary
 
@@ -249,9 +244,9 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    scheme, manifest = load_bundle(args.bundle)
+    scheme, _ = load_bundle(args.bundle)
     y = deserialize_vector(read_file(args.y))
-    run_e = manifest["e"] if args.e is None else args.e
+    run_e = _resolve_e(args.e, scheme.params.e)
     report = decode_blocks(scheme, y)
     decoded = report.multiset.at_least(run_e + 1)
     payload = {
@@ -272,25 +267,20 @@ def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise ParameterError(f"need at least one trial, got {args.trials}")
     if args.bundle:
-        scheme, manifest = load_bundle(args.bundle)
-        certified_e = manifest["e"]
+        scheme, _ = load_bundle(args.bundle)
     else:
-        params = _params_from(args)
         scheme, _, _ = generate_scheme(
-            params, args.seed, args.c, args.c_g,
+            _params_from(args), args.seed, args.c, args.c_g,
             max_attempts=args.max_attempts, validation_sets=args.validation_sets,
         )
-        certified_e = params.e
-    run_e = args.e if args.e is not None else certified_e
+    certified_e = scheme.params.e
+    run_e = _resolve_e(args.e, certified_e)
     records, summary = run_trials(
         scheme, args.trials, args.seed, run_e,
         adversarial=args.adversarial, min_defectives=args.min_defectives,
     )
     summary["e"] = run_e
     summary["uncertified"] = run_e > certified_e
-    if summary["uncertified"]:
-        print(f"warning: running {run_e} flips against a bundle certified for "
-              f"{certified_e}; results are uncertified", file=sys.stderr)
     if args.out:
         _write_records(records, summary, args.out)
     print(json.dumps({"summary": summary}, sort_keys=True))

@@ -80,14 +80,13 @@ class Scheme:
     @property
     def t(self) -> BitMatrix:
         """The dense (2k+1)h x n test matrix, built anew on every access."""
-        blocks = self.g.to_array()[:, None, :] & _block_pattern(self.m)[None]
+        blocks = self.g.to_array()[:, None, :] & _block_pattern(self.m.to_array())[None]
         return BitMatrix(blocks.reshape(self.tests, self.params.n))
 
 
-def _block_pattern(m: BitMatrix) -> np.ndarray:
-    """Rows [1; M; complement(M)]; block i of T is this pattern masked by G_i."""
-    ma = m.to_array()
-    return np.vstack([np.ones((1, ma.shape[1]), dtype=np.uint8), ma, 1 - ma])
+def _block_pattern(ma: np.ndarray) -> np.ndarray:
+    """Rows [1; M; complement(M)] of a 0/1 array M; block i of T is them masked by G_i."""
+    return np.vstack([np.ones((1, ma.shape[1]), dtype=ma.dtype), ma, 1 - ma])
 
 
 def build_scheme(g: BitMatrix, m: BitMatrix, params: SchemeParams) -> Scheme:
@@ -98,22 +97,16 @@ def encode(scheme: Scheme, x: BitVector) -> BitVector:
     """Apply every test of T to x at threshold u.
 
     Bits are ordered [y_i, y-block, ybar-block] per locator row i, as the
-    rows of T.  Only the columns in supp(x) can add to a count, so the
-    counts are products over those columns; float32 keeps them exact.
+    rows of T.  Only the columns in S = supp(x) can add to a count, so test
+    (i, r) counts G_i & pattern_r over S, with the block pattern of T
+    restricted to S; float32 keeps the counts exact.
     """
     if len(x) != scheme.params.n:
         raise DimensionError(f"item vector has length {len(x)}, scheme needs {scheme.params.n}")
-    u, k = scheme.params.u, scheme.k
     support = x.support()
     g = scheme.g.to_array()[:, support].astype(np.float32)
-    m = scheme.m.to_array()[:, support].astype(np.float32)
-    g_counts = g.sum(axis=1)
-    counts_m = g @ m.T  # (h, k): |G_i & M_r & x|
-    y = np.empty((scheme.h, 2 * k + 1), dtype=np.uint8)
-    y[:, 0] = g_counts >= u
-    y[:, 1 : k + 1] = counts_m >= u
-    y[:, k + 1 :] = g_counts[:, None] - counts_m >= u
-    return BitVector(y.reshape(-1))
+    pattern = _block_pattern(scheme.m.to_array()[:, support].astype(np.float32))
+    return BitVector((g @ pattern.T >= scheme.params.u).reshape(-1))
 
 
 # flatten_outcomes and split_outcome are pass-throughs now that outcomes
@@ -297,7 +290,7 @@ def _t_pieces(scheme: Scheme, header: dict):
     """
     n, h = scheme.params.n, scheme.h
     g = pack_rows(scheme.g.to_array())
-    pattern = pack_rows(_block_pattern(scheme.m))
+    pattern = pack_rows(_block_pattern(scheme.m.to_array()))
     row_bytes = g.shape[1]
     # AND whole words at a time: numpy is slow on many short byte rows.
     word = np.dtype(f"u{math.gcd(row_bytes, 8)}")

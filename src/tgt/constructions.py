@@ -45,16 +45,18 @@ _CHUNK_BYTES = 1 << 20  # temporaries per batched disjunctness check
 
 
 def work_budget(budget: int | None = None) -> int:
-    """Explicit budget, else the TGT_BUDGET environment cap, else default."""
-    if budget is not None:
-        return budget
-    env = os.environ.get("TGT_BUDGET")
-    if not env:
-        return DEFAULT_BUDGET
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise ParameterError(f"TGT_BUDGET must be an integer, got {env!r}") from exc
+    """Explicit budget, else the TGT_BUDGET environment cap, else default; never negative."""
+    if budget is None:
+        env = os.environ.get("TGT_BUDGET")
+        if not env:
+            return DEFAULT_BUDGET
+        try:
+            budget = int(env)
+        except ValueError as exc:
+            raise ParameterError(f"TGT_BUDGET must be an integer, got {env!r}") from exc
+    if budget < 0:
+        raise ParameterError(f"work budget must be nonnegative, got {budget}")
+    return budget
 
 
 def _check_scale(name: str, c: float) -> None:
@@ -405,25 +407,19 @@ def construct_good(
     Rows come in one layer per target cardinality s in {u..d}; a layer-s
     entry is 1 with probability u/s, so a layer-s row meets an s-sized
     defective set in exactly u items with constant probability.  Layers
-    split the total row count as evenly as possible.  Every candidate is
-    validated with `validation_sets` sampled defective sets per
-    cardinality at budget 2e; the last failure is reported if all
-    attempts are exhausted.
+    split the total row count as evenly as possible, the first ones taking
+    the remainder; each candidate is one draw of h x n uniforms against
+    its rows' densities.  Every candidate is validated with
+    `validation_sets` sampled defective sets per cardinality at budget 2e;
+    the last failure is reported if all attempts are exhausted.
     """
     h = good_row_count(params, c_g)
-    sizes = list(range(params.u, params.d + 1))
-    per = h // len(sizes)
-    extra = h % len(sizes)
+    sizes = range(params.u, params.d + 1)
+    per_layer = [len(rows) for rows in np.array_split(range(h), len(sizes))]
+    density = np.repeat([params.u / s for s in sizes], per_layer)  # one per row of G
     last_failure = None
     for _ in range(max_attempts):
-        layers = []
-        for idx, s in enumerate(sizes):
-            rows = per + (1 if idx < extra else 0)
-            if rows:
-                layers.append(
-                    (rng.random((rows, params.n)) < params.u / s).astype(np.uint8)
-                )
-        g = BitMatrix(np.vstack(layers))
+        g = BitMatrix(rng.random((h, params.n)) < density[:, None])
         result = validate_good(g, params, rng, validation_sets, 2 * params.e)
         if result["passed"]:
             return g

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .bitmat import BitMatrix, BitVector, DefectiveSet
 from .errors import BudgetError, DimensionError, ParameterError
 
 DEFAULT_ENUM_LIMIT = 2_000_000
-_CHUNK = 1024
+_CHUNK_BYTES = 1 << 24  # float32 outcome counts per batch of candidates
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def brute_force_decode(
 
     Candidates are visited by cardinality, then lexicographically by
     sorted index tuple, so candidate order (and count) is exact and
-    reproducible.
+    reproducible.  Each batch of candidates holds about `_CHUNK_BYTES` of counts.
     """
     if t.rows != len(y):
         raise DimensionError(f"matrix has {t.rows} rows, outcome has {len(y)}")
@@ -69,26 +69,15 @@ def brute_force_decode(
 
     tf = t.to_array().astype(np.float32)
     ya = y.to_array()
+    walk = chain.from_iterable(combinations(range(n), size) for size in range(d + 1))
+    batch = max(1, _CHUNK_BYTES // (tf.itemsize * t.rows))
     kept: list[DefectiveSet] = []
-
-    def flush(batch: list[tuple[int, ...]]) -> None:
-        x = np.zeros((n, len(batch)), dtype=np.float32)
-        for col, subset in enumerate(batch):
+    while subsets := list(islice(walk, batch)):
+        x = np.zeros((n, len(subsets)), dtype=np.float32)
+        for col, subset in enumerate(subsets):
             x[list(subset), col] = 1.0
-        outcomes = (tf @ x) >= u
-        dist = (outcomes != ya[:, None]).sum(axis=0)
-        for col in np.flatnonzero(dist <= budget):
-            kept.append(DefectiveSet(batch[col]))
-
-    for size in range(d + 1):
-        batch: list[tuple[int, ...]] = []
-        for subset in combinations(range(n), size):
-            batch.append(subset)
-            if len(batch) == _CHUNK:
-                flush(batch)
-                batch = []
-        if batch:
-            flush(batch)
+        dist = ((tf @ x >= u) != ya[:, None]).sum(axis=0)
+        kept.extend(DefectiveSet(subsets[col]) for col in np.flatnonzero(dist <= budget))
     return ConsistencySet(tuple(kept), budget)
 
 

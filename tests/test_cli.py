@@ -115,6 +115,23 @@ class TestVerify:
         assert json.loads(out.strip().splitlines()[-1])["min_count"] == 1
 
 
+class TestUncertifiedWarning:
+    """decode and simulate warn alike when --e exceeds the bundle's certified e=1."""
+
+    @pytest.mark.parametrize("command", ["decode", "simulate"])
+    @pytest.mark.parametrize("flags, warned", [
+        (["--e", "2"], True), (["--e", "1"], False), ([], False),
+    ], ids=["above", "certified", "default"])
+    def test_warning_on_stderr(self, bundle, tmp_path, capsys, command, flags, warned):
+        y_path = tmp_path / "y.vec"
+        run(capsys, "encode", "--bundle", str(bundle), "--defectives", "2,9", "--out", str(y_path))
+        inputs = ["--y", str(y_path)] if command == "decode" else ["--trials", "3", "--seed", "2"]
+        assert main([command, "--bundle", str(bundle), *inputs, *flags]) == 0
+        captured = capsys.readouterr()
+        assert ("results are uncertified" in captured.err) == warned
+        assert captured.err.startswith("warning:") == warned
+
+
 class TestEncodeDecode:
     def test_roundtrip(self, bundle, tmp_path, capsys):
         y_path = tmp_path / "y.vec"
@@ -336,6 +353,13 @@ class TestMalformedInput:
         code = main(["gen", "--n", "16", "--d", "3", "--u", "2", "--out", str(tmp_path / "b")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_negative_budget_variable(self, bundle, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("TGT_BUDGET", "-3")
+        code = main(["verify", str(bundle / "M.mat"), "--d", "2", "--out", str(tmp_path / "c.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "c.json").exists()
 
 
 def _flag(valid, invalid):

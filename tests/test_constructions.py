@@ -77,6 +77,16 @@ class TestVerifyDisjunct:
         with pytest.raises(BudgetError):
             verify_disjunct(m, 12, budget=1000)
 
+    def test_negative_budget(self, monkeypatch):
+        m = BitMatrix.identity(6)
+        with pytest.raises(ParameterError):
+            verify_disjunct(m, 2, budget=-1)
+        monkeypatch.setenv("TGT_BUDGET", "-1")
+        with pytest.raises(ParameterError):
+            verify_disjunct(m, 2)
+        with pytest.raises(BudgetError):  # 0 is a budget that allows no exhaustive work
+            verify_disjunct(m, 2, budget=0)
+
     def test_order_out_of_range(self):
         with pytest.raises(ParameterError):
             verify_disjunct(BitMatrix.identity(4), 4)
@@ -295,6 +305,17 @@ class TestIsGoodFor:
 
 
 class TestConstructGood:
+    def test_pinned_draw(self):
+        """Four layers (s = 2..5) over h = 363 rows, which 4 does not divide.
+        Recorded when every layer was drawn by a call of its own."""
+        params = SchemeParams(n=64, d=5, u=2, e=1, p=0.61)
+        rng = np.random.default_rng(0)
+        g = construct_good(params, rng)
+        assert g.rows == good_row_count(params) == 363
+        digest = "77ab572543d290924de192eb245fd74b0de264507f6730645f859b1aae258488"
+        assert hashlib.sha256(g.packed()).hexdigest() == digest
+        assert int(rng.integers(2**63)) == 7980973424054102826
+
     def test_error_free_example(self):
         # p=0 needs a larger row constant to make sampled validation pass
         params = SchemeParams(n=32, d=4, u=2, e=0, p=0.0)

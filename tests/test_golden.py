@@ -38,6 +38,13 @@ ADVERSARIAL_CSV = "8c78cce61a5d5e542cb194a40dd2706043c5902b4abd71dec91efd2720b10
 ENCODE_VEC = "3278fd322c7f604c550ff66a2d911f8de61d26510417d1334383de45112b1492"
 DECODE_JSON = "560ab91419e037b7372f40ff4d2dd91936e7bec7c24196cb32efc7501290e7ac"
 
+# `tgt simulate` summaries (minus the timing) with sub-threshold trials, which
+# the golden CSVs above do not reach.
+SIMULATE_SUMMARY = {
+    "block_false_accepts": 0, "e": 1, "evaluated": 20, "exact_rate": 1.0,
+    "subthreshold_empty": 10, "subthreshold_trials": 10, "trials": 30, "uncertified": False,
+}
+
 # `tgt verify` payloads (minus "path") for the n=16 bundle's M.mat, with exit codes.
 VERIFY_PAYLOADS = {
     "d7-exhaustive": (["--d", "7"], 0, {
@@ -90,6 +97,17 @@ def test_adversarial_simulate_csv_digest(bundles, tmp_path):
     args = ["simulate", "--bundle", str(bundles / "b16"), "--trials", "30", "--seed", "13"]
     assert main(args + ["--adversarial", "--out", str(tmp_path / "adv")]) == 0
     assert sha256(tmp_path / "adv.csv") == ADVERSARIAL_CSV
+
+
+@pytest.mark.parametrize("flags", [[], ["--adversarial"]], ids=["uniform", "adversarial"])
+def test_simulate_summary(bundles, capsys, flags):
+    args = ["simulate", "--bundle", str(bundles / "b16"), "--trials", "30", "--seed", "13",
+            "--min-defectives", "0", *flags]
+    capsys.readouterr()
+    assert main(args) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    del summary["mean_decode_ns"]
+    assert summary == SIMULATE_SUMMARY
 
 
 def test_encode_and_decode_digests(bundles, tmp_path):

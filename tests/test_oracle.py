@@ -1,6 +1,13 @@
+import tracemalloc
+from itertools import combinations
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tgt import oracle
 from tgt import (
     BitMatrix,
     BitVector,
@@ -12,7 +19,9 @@ from tgt import (
     encode,
     inject_errors,
 )
+from tgt.cli import generate_scheme
 from tgt.errors import BudgetError, ParameterError
+from tgt.semantics import SchemeParams
 
 
 class TestBruteForceDecode:
@@ -92,3 +101,59 @@ class TestCrossCheck:
         report = cross_check(DefectiveSet([0, 3]), DefectiveSet([1, 2]))
         assert report.false_positives == (0, 3)
         assert report.false_negatives == (1, 2)
+
+
+def reference_decode(t: BitMatrix, y: BitVector, d: int, u: int, budget: int) -> list:
+    """One candidate at a time, by size and then lexicographically."""
+    ta, ya = t.to_array().astype(np.int64), y.to_array()
+    kept = []
+    for size in range(d + 1):
+        for subset in combinations(range(t.cols), size):
+            outcome = ta[:, list(subset)].sum(axis=1) >= u
+            if (outcome != ya).sum() <= budget:
+                kept.append(subset)
+    return kept
+
+
+# Batch sizes in bytes: the default, one candidate per batch, and a few per batch.
+CHUNKS = [oracle._CHUNK_BYTES, 1, 256]
+
+
+class TestBatchedWalk:
+    """The batched candidate walk against a one-candidate loop."""
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 24), n=st.integers(1, 9), d=st.integers(0, 4),
+        u=st.integers(1, 3), budget=st.integers(0, 3), density=st.floats(0.1, 0.9),
+        flips=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_one_candidate_loop(self, chunk, rows, n, d, u, budget, density, flips, seed):
+        d = min(d, n)
+        rng = np.random.default_rng(seed)
+        t = BitMatrix.random(rng, rows, n, density)
+        size = int(rng.integers(0, d + 1))
+        truth = DefectiveSet(rng.choice(n, size=size, replace=False).tolist())
+        y, _ = inject_errors(apply_threshold(t, truth.to_vector(n), u), min(flips, rows), rng)
+        with patch.object(oracle, "_CHUNK_BYTES", chunk):
+            found = brute_force_decode(t, y, d, u, budget=budget)
+        assert [c.indices for c in found.candidates] == reference_decode(t, y, d, u, budget)
+
+    def test_memory_is_bounded(self):
+        """The n=16 scheme of the benchmark's grid-small workload has 88,821
+        tests; a fixed 1024-candidate batch held 243 MiB of counts there."""
+        params = SchemeParams(n=16, d=3, u=2, e=1, p=0.72)
+        scheme, _, _ = generate_scheme(params, 20250811, 3.0, 2.0)
+        t = scheme.t
+        truth = DefectiveSet([2, 9])
+        noisy, _ = inject_errors(encode(scheme, truth.to_vector(16)), 1, np.random.default_rng(3))
+        tracemalloc.start()
+        try:
+            found = brute_force_decode(t, noisy, params.d, params.u, budget=params.e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.rows == 88_821
+        assert truth in found
+        assert peak < 64 * 2**20
