@@ -125,10 +125,9 @@ def run_trials(scheme: Scheme, trials: int, seed: int, run_e: int,
             "flips": _join([i + 1 for i in flips]),
             "decoded": _join(decoded.to_one_based()),
             "exact": int(cross_check(decoded, truth).exact),
-            "accepted_blocks": sum(1 for tr in report.traces if tr.accepted),
+            "accepted_blocks": len(report.accepted),
             "false_accept_blocks": sum(
-                1 for tr in report.traces
-                if tr.accepted and any(j not in truth for j in tr.items)
+                any(j not in truth for j in items) for items in report.accepted.values()
             ),
             "h": scheme.h,
             "k": scheme.k,
@@ -254,7 +253,7 @@ def cmd_decode(args) -> int:
         "e": run_e,
         "status": report.status,
         "candidate_counts": {str(j + 1): c for j, c in report.multiset.counts.items()},
-        "accepted_blocks": sum(1 for tr in report.traces if tr.accepted),
+        "accepted_blocks": len(report.accepted),
     }
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:
@@ -337,6 +336,17 @@ def _int_list(text: str) -> list[int]:
         raise ParseError(f"need comma-separated integers, got {text!r}") from exc
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy seeds are nonnegative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return seed
+
+
 def _params_from(args) -> SchemeParams:
     for name in ("n", "d", "u"):
         if getattr(args, name, None) is None:
@@ -350,7 +360,7 @@ def _add_scheme_flags(sub, trials_default: int | None = None):
     sub.add_argument("--u", type=int)
     sub.add_argument("--e", type=int, default=None)
     sub.add_argument("--p", type=float, default=0.0)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_seed, default=0)
     sub.add_argument("--c", type=float, default=3.0)
     sub.add_argument("--c-g", dest="c_g", type=float, default=2.0)
     sub.add_argument("--max-attempts", type=int, default=50)
@@ -379,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--e", type=int, default=0)
     verify.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
     verify.add_argument("--trials", type=int, default=20000)
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=_seed, default=0)
     verify.add_argument("--out")
     verify.set_defaults(func=cmd_verify)
 
@@ -413,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--u", required=True, help="comma-separated thresholds")
     bench.add_argument("--e", default="0", help="comma-separated error budgets")
     bench.add_argument("--p", type=float, default=0.0)
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--seed", type=_seed, default=0)
     bench.add_argument("--c", type=float, default=3.0)
     bench.add_argument("--c-g", dest="c_g", type=float, default=2.0)
     bench.add_argument("--trials", type=int, default=50)
@@ -428,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, ParseError) as exc:
+    except (ParameterError, ParseError, OSError) as exc:  # OSError: an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConstructionError as exc:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -192,10 +192,30 @@ class CandidateMultiset:
 
 @dataclass(frozen=True)
 class DecodeReport:
-    defectives: DefectiveSet
+    """What the decoder decided: one reason per block, the u items of each
+    accepted block (in block order) and their occurrence counts.  Traces,
+    status and the error-free answer are views derived from these."""
+
+    reasons: tuple[str, ...]
+    accepted: dict[int, tuple[int, ...]]
     multiset: CandidateMultiset
-    traces: tuple[BlockTrace, ...]
-    status: str  # "ok" | "no-positive-tests" | "all-blocks-rejected"
+
+    @property
+    def defectives(self) -> DefectiveSet:
+        return self.multiset.support()
+
+    @property
+    def status(self) -> str:
+        if self.accepted:
+            return "ok"
+        negative = all(reason == "negative" for reason in self.reasons)
+        return "no-positive-tests" if negative else "all-blocks-rejected"
+
+    @property
+    def traces(self) -> tuple[BlockTrace, ...]:
+        """One BlockTrace per block, built anew on every access."""
+        return tuple(BlockTrace(i, r != "negative", r == "accepted", r, self.accepted.get(i))
+                     for i, r in enumerate(self.reasons))
 
 
 def decode_blocks(scheme: Scheme, y: BitVector) -> DecodeReport:
@@ -205,10 +225,9 @@ def decode_blocks(scheme: Scheme, y: BitVector) -> DecodeReport:
     it (capped at d+1 candidates), and accept the candidate set only if
     it has exactly u items whose pooled columns reproduce the recovered
     outcome.  A block's reason is the first that applies of negative,
-    overflow, size, or-mismatch and accepted.  Accepted sets accumulate
-    into both a plain union (`defectives`) and a multiset of occurrence
-    counts, whose `at_least(e + 1)` is the set that tolerates e flipped
-    outcomes.
+    overflow, size, or-mismatch and accepted.  The report keeps those
+    reasons, each accepted block's items and their occurrence counts,
+    whose `at_least(e + 1)` is the set that tolerates e flipped outcomes.
     """
     h, k = scheme.h, scheme.k
     split_outcome(y, h, k)
@@ -231,18 +250,7 @@ def decode_blocks(scheme: Scheme, y: BitVector) -> DecodeReport:
     voted = np.flatnonzero(votes)
     multiset = CandidateMultiset(dict(zip(voted.tolist(), votes[voted].tolist())))
     items_of = dict(zip(accepted.tolist(), map(tuple, items.tolist())))
-    traces = tuple(map(
-        BlockTrace, range(h), (view[:, 0] == 1).tolist(), (reasons == "accepted").tolist(),
-        reasons.tolist(), map(items_of.get, range(h)),
-    ))
-
-    if accepted.size:
-        status = "ok"
-    elif not positive.size:
-        status = "no-positive-tests"
-    else:
-        status = "all-blocks-rejected"
-    return DecodeReport(multiset.support(), multiset, traces, status)
+    return DecodeReport(tuple(reasons.tolist()), items_of, multiset)
 
 
 def adversarial_flip_positions(scheme: Scheme, x: BitVector, e: int) -> tuple[int, ...]:
@@ -326,7 +334,7 @@ def _manifest_params(manifest, directory: Path) -> SchemeParams:
     if manifest.get("format") != "tgt-scheme-v1":
         raise ParseError(f"unknown scheme format {manifest.get('format')!r}")
     try:
-        values = {key: manifest[key] for key in ("n", "d", "u", "e", "p")}
+        values = {f.name: manifest[f.name] for f in fields(SchemeParams)}
     except KeyError as exc:
         raise ParseError(f"scheme manifest in {directory} has no {exc} entry") from exc
     for key, value in values.items():
@@ -361,14 +369,8 @@ def save_bundle(
         fh.writelines(_t_pieces(scheme, header))
     manifest = {
         "format": "tgt-scheme-v1",
-        "n": scheme.params.n,
-        "d": scheme.params.d,
-        "u": scheme.params.u,
-        "e": scheme.params.e,
-        "p": scheme.params.p,
-        "c": c,
-        "c_g": c_g,
-        "seed": seed,
+        **asdict(scheme.params),
+        **header,
         "h": scheme.h,
         "k": scheme.k,
         "t": scheme.tests,

@@ -64,6 +64,11 @@ def _check_scale(name: str, c: float) -> None:
         raise ParameterError(f"{name} must be finite and > 0, got {c}")
 
 
+def _check_at_least(name: str, value: int, low: int) -> None:
+    if value < low:
+        raise ParameterError(f"{name} must be at least {low}, got {value}")
+
+
 def disjunct_row_count(n: int, d: int, c: float = 3.0) -> int:
     """Rows for a random (d+1)-disjunct candidate on n columns."""
     _check_scale("c", c)
@@ -267,6 +272,7 @@ def construct_disjunct(
         raise ParameterError(f"need d >= 1, got {d}")
     if d + 1 >= n:
         raise ParameterError(f"need d+1 < n, got d={d}, n={n}")
+    _check_at_least("max_attempts", max_attempts, 1)
     k = disjunct_row_count(n, d, c)
     density = 1.0 / (d + 2)
     order = d + 1
@@ -298,6 +304,7 @@ def verify_threshold_disjunct(
     n = g.cols
     if not (1 <= u <= d < n):
         raise ParameterError(f"need 1 <= u <= d < n, got u={u}, d={d}, n={n}")
+    _check_at_least("error budget e", e, 0)
     total = 0
     for s_size in range(u, d + 1):
         z_choices = sum(
@@ -343,6 +350,7 @@ def is_good_for(g: BitMatrix, dset: DefectiveSet, u: int, e: int) -> GoodnessRep
     in strictly more than e of them.  (Coverage follows from the counts
     whenever e >= 0, but is reported separately.)
     """
+    _check_at_least("error budget e", e, 0)
     items = np.asarray(dset.indices, dtype=np.int64)
     if items.size and items.max() >= g.cols:
         raise ParameterError("defective index out of range")
@@ -372,26 +380,21 @@ def validate_good(
     """Sample defective sets of every cardinality in [u, d] and run the
     fixed-D checker at the given budget.  Returns a summary dict; the
     "failure" entry holds the first failing (cardinality, items) pair."""
-    if sets_per_cardinality < 1:
-        raise ParameterError(
-            f"validation needs at least one set per cardinality, got {sets_per_cardinality}"
-        )
-    for size in range(params.u, params.d + 1):
-        for _ in range(sets_per_cardinality):
-            dset = _sample_defective_set(rng, params.n, size)
-            report = is_good_for(g, dset, params.u, budget_e)
-            if not report.is_good:
-                return {
-                    "passed": False,
-                    "sets_per_cardinality": sets_per_cardinality,
-                    "budget": budget_e,
-                    "failure": {"cardinality": size, "items": dset.to_one_based()},
-                }
+    _check_at_least("sets per cardinality", sets_per_cardinality, 1)
+    sets = (
+        _sample_defective_set(rng, params.n, size)
+        for size in range(params.u, params.d + 1)
+        for _ in range(sets_per_cardinality)
+    )
+    # Drawn lazily: the generator stops just past the first failing set.
+    failed = next((s for s in sets if not is_good_for(g, s, params.u, budget_e).is_good), None)
     return {
-        "passed": True,
+        "passed": failed is None,
         "sets_per_cardinality": sets_per_cardinality,
         "budget": budget_e,
-        "failure": None,
+        "failure": None if failed is None else {
+            "cardinality": len(failed), "items": failed.to_one_based(),
+        },
     }
 
 
@@ -413,6 +416,7 @@ def construct_good(
     `validation_sets` sampled defective sets per cardinality at budget 2e;
     the last failure is reported if all attempts are exhausted.
     """
+    _check_at_least("max_attempts", max_attempts, 1)
     h = good_row_count(params, c_g)
     sizes = range(params.u, params.d + 1)
     per_layer = [len(rows) for rows in np.array_split(range(h), len(sizes))]

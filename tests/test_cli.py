@@ -340,13 +340,51 @@ class TestMalformedInput:
         ["bench", "--n", "1x", "--d", "3", "--u", "2"],
         ["bench", "--n", "16", "--d", "3", "--u", "2", "--e", "x"],
         *(["gen", "--n", "16", "--d", "3", "--u", "2", flag, value, "--out", "unused"]
-          for flag, value in [("--c", "-1"), ("--c", "nan"), ("--c", "inf"), ("--c-g", "nan")]),
+          for flag, value in [("--c", "-1"), ("--c", "nan"), ("--c", "inf"), ("--c-g", "nan"),
+                              ("--max-attempts", "0"), ("--max-attempts", "-2")]),
     ])
     def test_bad_scalar_is_a_usage_error(self, tmp_path, capsys, argv):
         code = main([str(tmp_path / a) if a == "unused" else a for a in argv])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "unused").exists()
+
+    def test_negative_threshold_budget(self, bundle, tmp_path, capsys):
+        code = main(["verify", str(bundle / "G.mat"), "--check", "threshold", "--d", "3",
+                     "--u", "2", "--e", "-1", "--out", str(tmp_path / "c.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "c.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n", "16", "--d", "3", "--u", "2", "--seed", "-1", "--out", "{dir}/b"],
+        ["simulate", "--bundle", "{bundle}", "--trials", "1", "--seed", "-1"],
+        ["verify", "{bundle}/M.mat", "--d", "2", "--mode", "sampled", "--seed", "-1"],
+    ], ids=["gen", "simulate", "verify"])
+    def test_negative_seed(self, bundle, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(bundle=bundle, dir=tmp_path) for a in argv])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["encode", "--bundle", "{bundle}", "--defectives", "2,9", "--out", "{missing}/y.vec"],
+        ["decode", "--bundle", "{bundle}", "--y", "{y}", "--out", "{missing}/d.json"],
+        ["verify", "{bundle}/M.mat", "--d", "2", "--out", "{missing}/c.json"],
+        ["verify", "{bundle}/M.mat", "--d", "2", "--out", "{dir}"],
+        ["simulate", "--bundle", "{bundle}", "--trials", "1", "--out", "{missing}/run"],
+        ["bench", "--n", "16", "--d", "3", "--u", "2", "--p", "0.5", "--trials", "1",
+         "--out", "{missing}/b.csv"],
+        ["gen", "--n", "16", "--d", "3", "--u", "2", "--e", "1", "--p", "0.65", "--seed", "7",
+         "--out", "{y}/sub"],
+    ], ids=["encode", "decode", "verify", "verify-dir", "simulate", "bench", "gen"])
+    def test_unwritable_output(self, bundle, tmp_path, capsys, argv):
+        y_path = tmp_path / "y.vec"
+        run(capsys, "encode", "--bundle", str(bundle), "--defectives", "2,9", "--out", str(y_path))
+        paths = {"bundle": bundle, "y": y_path, "dir": tmp_path, "missing": tmp_path / "missing"}
+        code = main([a.format(**paths) for a in argv])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_bad_budget_variable(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("TGT_BUDGET", "abc")
@@ -378,7 +416,7 @@ _REQUIRED = {
 _OPTIONAL = {
     "--e": _flag([0, 1], [-1]),
     "--p": _flag([0, 0.5, 0.65], [-0.1, 1, "nan", "x"]),
-    "--seed": _flag([0, 1, 7], ["x"]),
+    "--seed": _flag([0, 1, 7], ["x", -1]),
     "--c": _flag([3, 2, 1], _SCALES),
     "--c-g": _flag([2, 3], _SCALES),
     "--validation-sets": _flag([1, 20, 50], [0, -1]),

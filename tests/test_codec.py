@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from tgt import (
     BitMatrix,
     BitVector,
+    DecodeReport,
     DefectiveSet,
     Scheme,
     adversarial_flip_positions,
@@ -22,8 +25,10 @@ from tgt import (
     recover_yprime,
     save_bundle,
     serialize_matrix,
+    serialize_vector,
 )
 from tgt import codec, construct_good
+from tgt.cli import main, run_trials
 from tgt.codec import BlockTrace, flatten_outcomes, split_outcome
 from tgt.errors import CoverOverflowError, DimensionError, ParameterError, ParseError
 from tgt.oracle import brute_force_decode
@@ -55,6 +60,9 @@ class TestBuildScheme:
         scheme = worked_scheme()
         assert Scheme.__slots__ == ("params", "g", "m")
         assert scheme.t == scheme.t and scheme.t is not scheme.t
+
+    def test_report_holds_only_decisions(self):
+        assert [f.name for f in fields(DecodeReport)] == ["reasons", "accepted", "multiset"]
 
     def test_all_ones_locator_row_copies_m(self):
         scheme = worked_scheme()
@@ -300,8 +308,44 @@ class TestDecodeReference:
                 traces, counts = reference_decode(scheme, y)
                 assert report.traces == traces
                 assert list(report.multiset.counts.items()) == counts
+                assert report.reasons == tuple(trace.reason for trace in traces)
+                accepted = [(t.block, t.items) for t in traces if t.accepted]
+                assert list(report.accepted.items()) == accepted
+                if accepted:
+                    assert report.status == "ok"
+                elif any(trace.positive for trace in traces):
+                    assert report.status == "all-blocks-rejected"
+                else:
+                    assert report.status == "no-positive-tests"
+                assert report.defectives == DefectiveSet(j for j, _ in counts)
                 seen.update(trace.reason for trace in traces)
         assert seen == {"negative", "overflow", "size", "or-mismatch", "accepted"}
+
+
+class TestNoTracesBuilt:
+    """The decode paths read the report's stored decisions, never BlockTrace."""
+
+    def test_decode_paths(self, scheme16, tmp_path, monkeypatch, capsys):
+        scheme, cert = scheme16
+        save_bundle(tmp_path / "b", scheme, 7, 3.0, 2.0, cert.to_json(), {"passed": True})
+        truth = DefectiveSet([2, 6, 11])
+        y = encode(scheme, truth.to_vector(16))
+        (tmp_path / "y.vec").write_bytes(serialize_vector(y))
+
+        def refuse(*args):
+            raise AssertionError("a BlockTrace was built")
+
+        monkeypatch.setattr(codec, "BlockTrace", refuse)
+        report = decode_blocks(scheme, y)
+        assert report.multiset.at_least(1) == truth
+        with pytest.raises(AssertionError):
+            report.traces
+        records, summary = run_trials(scheme, 5, 3, 0)
+        assert summary["exact_rate"] == 1 and all(r["accepted_blocks"] for r in records)
+        argv = ["decode", "--bundle", str(tmp_path / "b"), "--y", str(tmp_path / "y.vec")]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["accepted_blocks"] == len(report.accepted) > 0
 
 
 class TestMultisetAndTolerantDecoding:

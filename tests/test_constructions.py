@@ -254,6 +254,11 @@ class TestConstructDisjunct:
         with pytest.raises(ParameterError):
             construct_disjunct(8, 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("attempts", [0, -2])
+    def test_needs_an_attempt(self, attempts):
+        with pytest.raises(ParameterError):
+            construct_disjunct(8, 1, np.random.default_rng(0), max_attempts=attempts)
+
     def test_deterministic_in_seed(self):
         m1, _ = construct_disjunct(12, 2, np.random.default_rng(5))
         m2, _ = construct_disjunct(12, 2, np.random.default_rng(5))
@@ -283,6 +288,11 @@ class TestVerifyThresholdDisjunct:
         with pytest.raises(BudgetError):
             verify_threshold_disjunct(BitMatrix.zeros(4, 20), 5, 2, 0, budget=100)
 
+    def test_negative_error_budget(self):
+        # No count is <= -1, so a negative e would certify any matrix.
+        with pytest.raises(ParameterError):
+            verify_threshold_disjunct(BitMatrix.zeros(5, 6), 2, 2, -1)
+
 
 class TestIsGoodFor:
     def test_worked_example(self):
@@ -302,6 +312,10 @@ class TestIsGoodFor:
         report = is_good_for(g, DefectiveSet([3]), 2, 0)
         assert not report.is_good and not report.covers_all
         assert report.qualifying_rows == ()
+
+    def test_negative_error_budget(self):
+        with pytest.raises(ParameterError):
+            is_good_for(BitMatrix.ones(4, 6), DefectiveSet([0, 1]), 2, -1)
 
 
 class TestConstructGood:
@@ -347,6 +361,26 @@ class TestConstructGood:
         g = BitMatrix.ones(4, 16)
         with pytest.raises(ParameterError):
             validate_good(g, params, np.random.default_rng(0), sets, 0)
+
+    def test_failure_stops_at_first_failing_set(self):
+        # All-ones rows are good for every 2-set and for no 3-set.
+        params = SchemeParams(n=16, d=3, u=2, e=0, p=0.5)
+        rng, reference = np.random.default_rng(6), np.random.default_rng(6)
+        result = validate_good(BitMatrix.ones(4, 16), params, rng, 5, 0)
+        for _ in range(5):
+            reference.choice(16, size=2, replace=False)
+        first_triple = sorted(int(j) + 1 for j in reference.choice(16, size=3, replace=False))
+        assert result == {
+            "passed": False, "sets_per_cardinality": 5, "budget": 0,
+            "failure": {"cardinality": 3, "items": first_triple},
+        }
+        assert rng.integers(2**63) == reference.integers(2**63)
+
+    @pytest.mark.parametrize("attempts", [0, -2])
+    def test_needs_an_attempt(self, attempts):
+        params = SchemeParams(n=16, d=3, u=2, e=0, p=0.5)
+        with pytest.raises(ParameterError):
+            construct_good(params, np.random.default_rng(0), max_attempts=attempts)
 
     def test_fresh_sets_after_construction(self):
         # resampled validation, distinct generator from the construction one
