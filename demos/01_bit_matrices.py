@@ -2,37 +2,30 @@
 
 import numpy as np
 
-from tgt import (
-    BitMatrix,
-    BitVector,
-    complement,
-    deserialize_matrix,
-    restrict_row,
-    serialize_matrix,
-    stack,
-)
+from tgt import BitMatrix, BitVector, load_matrix, serialize_matrix
 
 # Everything binary in this library is a BitMatrix or BitVector: immutable,
-# hashable, and backed by numpy.
+# hashable, and backed by a read-only numpy 0/1 array.
 
 m = BitMatrix.from_rows([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1]])
+a = m.to_array()
 print("matrix:")
-print(m.to_array())
-print("row 1:", m.row(1).to_array(), "| column 2:", m.col(2).to_array())
+print(a)
+print("row 1:", a[1], "| column 2:", a[:, 2])
 
-# The complement flips every bit; stacking a matrix on its complement is how
-# the solver half of a testing scheme is laid out.
+# Row operations are plain numpy on to_array().  The complement flips
+# every bit; a matrix on top of its complement is how the solver half of a
+# testing scheme is laid out.
 
 print("\ncomplement:")
-print(complement(m).to_array())
-a = stack(m, complement(m))
-print("stacked shape:", a.shape)
+print(1 - a)
+print("stacked shape:", BitMatrix(np.vstack([a, 1 - a])).shape)
 
 # Restriction is entrywise AND: the items of x that fall inside a pool.
 
 x = BitVector([1, 1, 0, 1])
 pool = BitVector([1, 0, 1, 1])
-print("\nx restricted to pool:", restrict_row(x, pool).to_array())
+print("\nx restricted to pool:", BitVector(x.to_array() & pool.to_array()).to_array())
 
 # Serialization is a one-line ASCII header plus base64 of the packed bits
 # (64-bit words, little-endian, LSB first, zero padding).  Round trips are
@@ -41,9 +34,9 @@ print("\nx restricted to pool:", restrict_row(x, pool).to_array())
 data = serialize_matrix(m, kind="disjunct", params={"d": 2})
 print("\nserialized:")
 print(data.decode().splitlines()[0])
-assert deserialize_matrix(data) == m
+assert load_matrix(data) == (m, "disjunct", {"d": 2})
 
 rng = np.random.default_rng(0)
 big = BitMatrix.random(rng, 1000, 1000, 0.3)
-assert deserialize_matrix(serialize_matrix(big)) == big
+assert load_matrix(serialize_matrix(big))[0] == big
 print("10^6-bit round trip: exact")

@@ -2,17 +2,16 @@
 
 import numpy as np
 
-from tgt import BitMatrix, BitVector, apply_threshold, inject_errors, or_test, threshold_test
+from tgt import BitMatrix, BitVector, apply_threshold, inject_errors
 
 # A pool is positive at threshold u when it contains at least u defectives.
-# u = 1 recovers the classical OR semantics.
+# u = 1 recovers the classical OR semantics.  One pool is a one-row matrix.
 
-pool = BitVector([1, 1, 1, 0, 0, 0])
+pool = BitMatrix.from_rows([[1, 1, 1, 0, 0, 0]])
 x = BitVector([1, 1, 0, 0, 0, 1])  # defectives 0, 1, 5; pool sees two of them
 
 for u in (1, 2, 3):
-    print(f"threshold u={u}:", threshold_test(pool, x, u))
-print("or_test matches u=1:", or_test(pool, x) == threshold_test(pool, x, 1))
+    print(f"threshold u={u}:", apply_threshold(pool, x, u)[0])
 
 # Applying a whole matrix gives the outcome vector, one bit per pool.
 
@@ -31,8 +30,5 @@ print("hamming distance:", int((noisy.to_array() != y.to_array()).sum()))
 # Monotonicity: adding defectives never turns a positive pool negative.
 
 grown = BitVector([1, 1, 1, 0, 0, 1])
-assert all(
-    threshold_test(m.row(i), grown, 2) >= threshold_test(m.row(i), x, 2)
-    for i in range(m.rows)
-)
+assert (apply_threshold(m, grown, 2).to_array() >= y.to_array()).all()
 print("monotone in the defective set: ok")

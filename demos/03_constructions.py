@@ -8,7 +8,6 @@ from tgt import (
     construct_disjunct,
     construct_good,
     is_good_for,
-    critical_zero_cover,
     verify_disjunct,
     verify_threshold_disjunct,
 )
@@ -54,10 +53,3 @@ for row, pair in enumerate([(i, j) for i in range(6) for j in range(i + 1, 6)]):
 tiny_report = verify_threshold_disjunct(BitMatrix(tiny), d=2, u=2, e=0)
 print(f"\ncomplete weight-2 matrix on 6 items: threshold-disjunct pass = "
       f"{tiny_report.passed}, min count = {tiny_report.min_count}")
-
-# The covering split behind that implication is constructive:
-
-pairs = critical_zero_cover(DefectiveSet([0, 2, 4, 6, 8]), n=20, d=5, u=2)
-for pair in pairs:
-    print("critical", sorted(pair.critical), "zero", sorted(pair.zero),
-          "distinguished", pair.distinguished)

@@ -5,8 +5,8 @@ import numpy as np
 from tgt import (
     BitVector,
     DefectiveSet,
+    Scheme,
     apply_threshold,
-    build_scheme,
     construct_disjunct,
     construct_good,
     decode_blocks,
@@ -20,7 +20,7 @@ params = SchemeParams(n=32, d=4, u=2, e=0, p=0.65)
 
 m, cert = construct_disjunct(params.n, params.d, rng)
 g = construct_good(params, rng)
-scheme = build_scheme(g, m, params)
+scheme = Scheme(params, g, m)
 print(f"scheme: h={scheme.h} locator rows, k={scheme.k} solver rows, "
       f"t={scheme.tests} tests = (2k+1)h")
 
@@ -54,8 +54,7 @@ print("recovered OR outcome matches the solver matrix applied to the restriction
 # The decoder screens every block and unions the surviving candidate sets.
 
 report = decode_blocks(scheme, y)
-accepted = [t for t in report.traces if t.accepted]
-print(f"\naccepted {len(accepted)} blocks; decoded: "
+print(f"\naccepted {len(report.accepted)} blocks; decoded: "
       f"{report.defectives.to_one_based()}")
 assert report.defectives == truth
 print("exact recovery:", report.defectives == truth)

@@ -4,8 +4,8 @@ import numpy as np
 
 from tgt import (
     DefectiveSet,
+    Scheme,
     adversarial_flip_positions,
-    build_scheme,
     construct_disjunct,
     construct_good,
     decode_blocks,
@@ -26,7 +26,7 @@ rng = np.random.default_rng(3)
 params = SchemeParams(n=32, d=4, u=2, e=e, p=0.71)
 m, _ = construct_disjunct(params.n, params.d, rng)
 g = construct_good(params, rng)
-scheme = build_scheme(g, m, params)
+scheme = Scheme(params, g, m)
 print(f"scheme certified for e={e}: h={scheme.h}, k={scheme.k}, t={scheme.tests}")
 
 truth = DefectiveSet(rng.choice(32, size=4, replace=False).tolist())

@@ -4,8 +4,8 @@ import numpy as np
 
 from tgt import (
     DefectiveSet,
+    Scheme,
     brute_force_decode,
-    build_scheme,
     construct_disjunct,
     construct_good,
     cross_check,
@@ -24,7 +24,7 @@ rng = np.random.default_rng(5)
 params = SchemeParams(n=12, d=3, u=2, e=1, p=0.7)
 m, _ = construct_disjunct(params.n, params.d, rng)
 g = construct_good(params, rng)
-scheme = build_scheme(g, m, params)
+scheme = Scheme(params, g, m)
 print(f"scheme: t={scheme.tests} tests on n={params.n} items")
 
 truth = DefectiveSet([2, 5, 9])

@@ -10,14 +10,10 @@ from .bitmat import (
     BitMatrix,
     BitVector,
     DefectiveSet,
-    complement,
-    deserialize_matrix,
     deserialize_vector,
     load_matrix,
-    restrict_row,
     serialize_matrix,
     serialize_vector,
-    stack,
 )
 from .codec import (
     CandidateMultiset,
@@ -33,7 +29,6 @@ from .codec import (
     save_bundle,
 )
 from .constructions import (
-    CriticalZeroPair,
     DisjunctCertificate,
     GoodnessReport,
     ThresholdDisjunctReport,
@@ -42,7 +37,6 @@ from .constructions import (
     disjunct_row_count,
     good_row_count,
     is_good_for,
-    critical_zero_cover,
     validate_good,
     verify_disjunct,
     verify_threshold_disjunct,
@@ -63,22 +57,17 @@ from .semantics import (
     apply_threshold,
     flip_positions,
     inject_errors,
-    or_test,
-    threshold_test,
 )
 
 __all__ = [
     "BitMatrix", "BitVector", "DefectiveSet", "SchemeParams", "Scheme",
     "CandidateMultiset", "DecodeReport", "ConsistencySet",
     "CrossCheckReport", "DisjunctCertificate", "GoodnessReport",
-    "CriticalZeroPair", "ThresholdDisjunctReport",
-    "complement", "restrict_row", "stack",
-    "serialize_matrix", "deserialize_matrix", "load_matrix",
-    "serialize_vector", "deserialize_vector",
-    "threshold_test", "or_test", "apply_threshold", "inject_errors",
-    "flip_positions",
+    "ThresholdDisjunctReport",
+    "serialize_matrix", "load_matrix", "serialize_vector", "deserialize_vector",
+    "apply_threshold", "inject_errors", "flip_positions",
     "verify_disjunct", "construct_disjunct", "verify_threshold_disjunct",
-    "is_good_for", "construct_good", "validate_good", "critical_zero_cover",
+    "is_good_for", "construct_good", "validate_good",
     "disjunct_row_count", "good_row_count",
     "build_scheme", "encode", "recover_yprime", "cover_decode",
     "decode_blocks", "adversarial_flip_positions",

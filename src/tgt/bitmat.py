@@ -173,12 +173,6 @@ class BitMatrix(_Bits):
     def shape(self) -> tuple[int, int]:
         return self._a.shape
 
-    def row(self, i: int) -> BitVector:
-        return BitVector(self._a[i])
-
-    def col(self, j: int) -> BitVector:
-        return BitVector(self._a[:, j])
-
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
 
@@ -194,10 +188,6 @@ class DefectiveSet:
         if idx and idx[0] < 0:
             raise ValueError("item indices must be nonnegative")
         object.__setattr__(self, "indices", idx)
-
-    @classmethod
-    def from_vector(cls, x: BitVector) -> "DefectiveSet":
-        return cls(x.support().tolist())
 
     @classmethod
     def from_one_based(cls, indices) -> "DefectiveSet":
@@ -223,25 +213,6 @@ class DefectiveSet:
 
     def __repr__(self) -> str:
         return f"DefectiveSet({list(self.indices)})"
-
-
-def complement(m: BitMatrix) -> BitMatrix:
-    """Flip every bit.  An involution: complement(complement(m)) == m."""
-    return BitMatrix(1 - m.to_array())
-
-
-def restrict_row(x: BitVector, g_row: BitVector) -> BitVector:
-    """Entrywise AND: keeps the bits of x selected by g_row."""
-    if len(x) != len(g_row):
-        raise DimensionError(f"length mismatch: {len(x)} vs {len(g_row)}")
-    return BitVector(x.to_array() & g_row.to_array())
-
-
-def stack(top: BitMatrix, bottom: BitMatrix) -> BitMatrix:
-    """Vertically stack two matrices with equal column counts."""
-    if top.cols != bottom.cols:
-        raise DimensionError(f"column mismatch: {top.cols} vs {bottom.cols}")
-    return BitMatrix(np.vstack([top.to_array(), bottom.to_array()]))
 
 
 # --- file format -----------------------------------------------------------
@@ -342,10 +313,6 @@ def load_matrix(data: bytes) -> tuple[BitMatrix, str, dict]:
         raise ParseError("params field must be a JSON object")
     bits = _unpack_bits(payload, rows * cols)
     return BitMatrix(bits.reshape(rows, cols)), kind, params
-
-
-def deserialize_matrix(data: bytes) -> BitMatrix:
-    return load_matrix(data)[0]
 
 
 def serialize_vector(v: BitVector) -> bytes:

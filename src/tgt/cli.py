@@ -162,6 +162,18 @@ def _write_records(records: list[dict], summary: dict, out_prefix: str) -> None:
         fh.write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
 
 
+def _check_out(out: str, makes_dirs: bool) -> None:
+    """Fail before any work when nothing can be written at `out`: its parent
+    must be a directory or, where the writer makes the missing directories
+    (a bundle), the nearest existing part of the path."""
+    path = Path(out).absolute()
+    parent = path.parent
+    if makes_dirs:
+        parent = next(p for p in (path, *path.parents) if p.exists())
+    if not parent.is_dir():
+        raise ParameterError(f"cannot write under --out {out}: {parent} is not a directory")
+
+
 # --- subcommands -----------------------------------------------------------
 
 
@@ -437,6 +449,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out, makes_dirs=args.func is cmd_gen)
         return args.func(args)
     except (ParameterError, ParseError, OSError) as exc:  # OSError: an unwritable output path
         print(f"error: {exc}", file=sys.stderr)

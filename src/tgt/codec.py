@@ -175,9 +175,6 @@ class CandidateMultiset:
 
     counts: dict[int, int]
 
-    def total(self) -> int:
-        return sum(self.counts.values())
-
     def support(self) -> DefectiveSet:
         return DefectiveSet(self.counts.keys())
 

@@ -120,13 +120,6 @@ class GoodnessReport:
 
 
 @dataclass(frozen=True)
-class CriticalZeroPair:
-    critical: frozenset[int]
-    zero: frozenset[int]
-    distinguished: int | None = None
-
-
-@dataclass(frozen=True)
 class ThresholdDisjunctReport:
     d: int
     u: int
@@ -436,60 +429,3 @@ def construct_good(
         witness=last_failure,
     )
 
-
-def critical_zero_cover(
-    dset: DefectiveSet, n: int, d: int, u: int
-) -> list[CriticalZeroPair]:
-    """Split a defective set into critical/zero pairs whose criticals
-    cover it.
-
-    Two regimes.  For d <= 2u the set is covered by two u-subsets, each
-    paired with the remainder as its zero set.  For d >= 2u+1 each
-    defective gets its own pair: a critical set of size d-u containing it
-    (padded with the lowest-indexed non-defectives when D is small) and a
-    zero set of size u+1 containing every defective left outside.
-    """
-    items = list(dset.indices)
-    kappa = len(items)
-    if kappa < u:
-        raise ParameterError(f"need at least u={u} defectives, got {kappa}")
-    if kappa > d:
-        raise ParameterError(f"defective set larger than d={d}")
-    if not (1 <= u <= d < n):
-        raise ParameterError(f"need 1 <= u <= d < n, got u={u}, d={d}, n={n}")
-
-    if d <= 2 * u:
-        d1 = frozenset(items[:u])
-        d2 = frozenset(items[-u:])
-        full = set(items)
-        return [
-            CriticalZeroPair(d1, frozenset(full - d1)),
-            CriticalZeroPair(d2, frozenset(full - d2)),
-        ]
-
-    # d >= 2u + 1: per-item pairs of size d-u with zero sets of size u+1.
-    s_size = d - u
-    z_size = u + 1
-    if n < s_size + z_size:
-        raise ParameterError("not enough items to build zero sets")
-    dset_all = set(items)
-    non_defective = [j for j in range(n) if j not in dset_all]
-    pairs = []
-    for j in items:
-        if kappa <= s_size:
-            critical = set(items)
-            critical.update(non_defective[: s_size - kappa])
-        else:
-            critical = {j}
-            for other in items:
-                if len(critical) == s_size:
-                    break
-                critical.add(other)
-        zero = set(items) - critical
-        for cand in range(n):
-            if len(zero) == z_size:
-                break
-            if cand not in critical and cand not in zero:
-                zero.add(cand)
-        pairs.append(CriticalZeroPair(frozenset(critical), frozenset(zero), j))
-    return pairs

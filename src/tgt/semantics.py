@@ -1,10 +1,9 @@
-"""Test semantics: the threshold and boolean-OR pool operators.
+"""Test semantics: the threshold pool operator and outcome errors.
 
-A pool (one matrix row) is positive under the threshold operator when it
-contains at least ``u`` defective items, and positive under the OR operator
-when it contains at least one.  These two functions are the ground truth
-the whole simulation is built on; everything else is bookkeeping around
-them.
+A pool (one matrix row) is positive at threshold ``u`` when it contains
+at least ``u`` defective items; the boolean-OR operator is threshold 1.
+`apply_threshold` is the ground truth the whole simulation is built on;
+everything else is bookkeeping around it.
 """
 
 from __future__ import annotations
@@ -47,16 +46,6 @@ class SchemeParams:
         return max(self.u, self.d - self.u)
 
 
-def threshold_test(row: BitVector, x: BitVector, u: int) -> int:
-    """1 iff the pool `row` contains at least u items of x."""
-    return apply_threshold(BitMatrix(row.to_array()[None]), x, u)[0]
-
-
-def or_test(row: BitVector, x: BitVector) -> int:
-    """1 iff the pool `row` contains any item of x (threshold 1)."""
-    return threshold_test(row, x, 1)
-
-
 def apply_threshold(m: BitMatrix, x: BitVector, u: int) -> BitVector:
     """Outcome vector of all rows of m against x at threshold u."""
     if m.cols != len(x):
@@ -68,24 +57,16 @@ def apply_threshold(m: BitMatrix, x: BitVector, u: int) -> BitVector:
 
 
 def inject_errors(
-    y: BitVector,
-    e: int,
-    rng: np.random.Generator,
-    up_to: bool = False,
+    y: BitVector, e: int, rng: np.random.Generator
 ) -> tuple[BitVector, tuple[int, ...]]:
-    """Flip outcome bits, returning the corrupted vector and flip positions.
-
-    Flips exactly e distinct positions chosen uniformly without
-    replacement; with up_to=True the flip count is itself uniform in
-    [0, e].  Exact-e is the default because it is the worst case within
-    the budget.
-    """
+    """Flip exactly e distinct positions chosen uniformly without
+    replacement (the worst case within the budget), returning the
+    corrupted vector and the flip positions."""
     if e < 0:
         raise ParameterError(f"error count must be nonnegative, got {e}")
     if e > len(y):
         raise ParameterError(f"cannot flip {e} positions in a length-{len(y)} vector")
-    count = int(rng.integers(0, e + 1)) if up_to else e
-    drawn = rng.choice(len(y), size=count, replace=False) if count else []
+    drawn = rng.choice(len(y), size=e, replace=False) if e else []
     positions = tuple(sorted(int(i) for i in drawn))
     return flip_positions(y, positions), positions
 

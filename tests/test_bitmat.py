@@ -10,14 +10,10 @@ from tgt import (
     BitMatrix,
     BitVector,
     DefectiveSet,
-    complement,
-    deserialize_matrix,
     deserialize_vector,
     load_matrix,
-    restrict_row,
     serialize_matrix,
     serialize_vector,
-    stack,
 )
 from tgt.errors import DimensionError, ParseError
 
@@ -55,74 +51,7 @@ class TestBitTypes:
         assert d.indices == (1, 4, 9)
         assert d.to_one_based() == [2, 5, 10]
         assert DefectiveSet.from_one_based([2, 5, 10]) == d
-        assert DefectiveSet.from_vector(d.to_vector(12)) == d
-
-
-class TestComplement:
-    def test_single_row(self):
-        m = BitMatrix.from_rows([[1, 0, 1]])
-        assert complement(m).to_array().tolist() == [[0, 1, 0]]
-
-    def test_all_zeros(self):
-        assert complement(BitMatrix.zeros(3, 5)) == BitMatrix.ones(3, 5)
-
-    def test_entrywise_oracle(self):
-        rng = np.random.default_rng(0)
-        m = BitMatrix.random(rng, 5, 8, 0.5)
-        c = complement(m)
-        for i in range(5):
-            for j in range(8):
-                assert c.to_array()[i, j] == 1 - m.to_array()[i, j]
-
-    @given(bit_matrices)
-    def test_involution(self, a):
-        m = BitMatrix(a)
-        assert complement(complement(m)) == m
-
-
-class TestRestrictRow:
-    def test_and(self):
-        x = BitVector([1, 1, 0, 1])
-        g = BitVector([1, 0, 1, 1])
-        assert restrict_row(x, g) == BitVector([1, 0, 0, 1])
-
-    def test_identity_and_zero(self):
-        x = BitVector([1, 0, 1])
-        assert restrict_row(x, BitVector.ones(3)) == x
-        assert restrict_row(x, BitVector.zeros(3)) == BitVector.zeros(3)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            restrict_row(BitVector([1]), BitVector([1, 0]))
-
-    @given(bit_vectors, st.randoms())
-    def test_weight_bound(self, xa, rnd):
-        ga = np.array([rnd.randint(0, 1) for _ in xa], dtype=np.uint8)
-        x, g = BitVector(xa), BitVector(ga)
-        out = restrict_row(x, g)
-        assert out.weight() <= min(x.weight(), g.weight())
-        assert set(out.support()) == set(x.support()) & set(g.support())
-
-
-class TestStack:
-    def test_shapes(self):
-        top = BitMatrix.zeros(2, 3)
-        bottom = BitMatrix.ones(3, 3)
-        assert stack(top, bottom).shape == (5, 3)
-
-    def test_with_complement(self):
-        m = BitMatrix.random(np.random.default_rng(1), 4, 6, 0.4)
-        assert stack(m, complement(m)).rows == 8
-
-    def test_row_order_preserved(self):
-        m = BitMatrix.random(np.random.default_rng(2), 3, 4, 0.5)
-        s = stack(m, BitMatrix.ones(2, 4))
-        for i in range(3):
-            assert s.row(i) == m.row(i)
-
-    def test_column_mismatch(self):
-        with pytest.raises(DimensionError):
-            stack(BitMatrix.zeros(1, 2), BitMatrix.zeros(1, 3))
+        assert DefectiveSet(d.to_vector(12).support()) == d
 
 
 class TestSerialization:
@@ -134,7 +63,7 @@ class TestSerialization:
     @given(bit_matrices)
     def test_roundtrip(self, a):
         m = BitMatrix(a)
-        assert deserialize_matrix(serialize_matrix(m)) == m
+        assert load_matrix(serialize_matrix(m))[0] == m
 
     @settings(deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -146,7 +75,7 @@ class TestSerialization:
     def test_roundtrip_megabit(self):
         rng = np.random.default_rng(3)
         m = BitMatrix.random(rng, 1000, 1000, 0.3)
-        assert deserialize_matrix(serialize_matrix(m)) == m
+        assert load_matrix(serialize_matrix(m))[0] == m
 
     def test_byte_identical_reserialization(self):
         m = BitMatrix.random(np.random.default_rng(4), 3, 5, 0.5)
@@ -160,20 +89,20 @@ class TestSerialization:
 
     def test_empty_payload(self):
         with pytest.raises(ParseError):
-            deserialize_matrix(b"")
+            load_matrix(b"")
         with pytest.raises(ParseError):
-            deserialize_matrix(b"TGTMAT v1 rows=1 cols=1 kind=final params={}\n\n")
+            load_matrix(b"TGTMAT v1 rows=1 cols=1 kind=final params={}\n\n")
 
     def test_corrupt_header(self):
         good = serialize_matrix(BitMatrix.identity(2))
         with pytest.raises(ParseError):
-            deserialize_matrix(good.replace(b"TGTMAT", b"BADMAT"))
+            load_matrix(good.replace(b"TGTMAT", b"BADMAT"))
         with pytest.raises(ParseError):
-            deserialize_matrix(good.replace(b"rows=2", b"rows=x"))
+            load_matrix(good.replace(b"rows=2", b"rows=x"))
         with pytest.raises(ParseError):
-            deserialize_matrix(good.replace(b"kind=final", b"kind=banana"))
+            load_matrix(good.replace(b"kind=final", b"kind=banana"))
         with pytest.raises(ParseError):
-            deserialize_matrix(good.replace(b"params={}", b"params={"))
+            load_matrix(good.replace(b"params={}", b"params={"))
 
     def test_truncated_payload(self):
         data = serialize_matrix(BitMatrix.ones(4, 40))
@@ -181,7 +110,7 @@ class TestSerialization:
         payload = base64.b64decode(body)
         short = base64.b64encode(payload[:-8])
         with pytest.raises(ParseError):
-            deserialize_matrix(header + b"\n" + short + b"\n")
+            load_matrix(header + b"\n" + short + b"\n")
 
     def test_nonzero_padding(self):
         data = serialize_matrix(BitMatrix.identity(3))  # 9 bits in 8 bytes
@@ -190,7 +119,7 @@ class TestSerialization:
         payload[-1] |= 0x80
         bad = base64.b64encode(bytes(payload))
         with pytest.raises(ParseError):
-            deserialize_matrix(header + b"\n" + bad + b"\n")
+            load_matrix(header + b"\n" + bad + b"\n")
 
     def test_vector_header_errors(self):
         with pytest.raises(ParseError):

@@ -386,6 +386,24 @@ class TestMalformedInput:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n", "16", "--d", "3", "--u", "2", "--out", "{file}/sub"],
+        ["simulate", "--n", "16", "--d", "3", "--u", "2", "--trials", "1",
+         "--out", "{file}/run"],
+        ["bench", "--n", "16", "--d", "3", "--u", "2", "--trials", "1",
+         "--out", "{file}/b.csv"],
+    ], ids=["gen", "simulate", "bench"])
+    def test_output_under_a_file_fails_first(self, tmp_path, capsys, monkeypatch, argv):
+        def construct(*args, **kwargs):
+            raise AssertionError("constructed a scheme before checking --out")
+
+        monkeypatch.setattr("tgt.cli.generate_scheme", construct)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        code = main([a.format(file=afile) for a in argv])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_bad_budget_variable(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("TGT_BUDGET", "abc")
         code = main(["gen", "--n", "16", "--d", "3", "--u", "2", "--out", str(tmp_path / "b")])

@@ -15,7 +15,6 @@ from tgt import (
     construct_disjunct,
     construct_good,
     is_good_for,
-    critical_zero_cover,
     validate_good,
     verify_disjunct,
     verify_threshold_disjunct,
@@ -391,66 +390,6 @@ class TestConstructGood:
             for _ in range(100):
                 dset = DefectiveSet(fresh.choice(24, size=size, replace=False).tolist())
                 assert is_good_for(g, dset, 2, 0).is_good
-
-
-class TestCriticalZeroCover:
-    def test_two_subset_branch(self):
-        pairs = critical_zero_cover(DefectiveSet([0, 1, 2]), 10, 4, 2)
-        assert len(pairs) == 2
-        union = set()
-        for pair in pairs:
-            assert len(pair.critical) == 2
-            assert not pair.critical & pair.zero
-            assert len(pair.zero) <= len(pair.critical)
-            union |= pair.critical
-        assert union == {0, 1, 2}
-
-    def test_exact_threshold_size(self):
-        pairs = critical_zero_cover(DefectiveSet([3, 7]), 10, 4, 2)
-        assert pairs[0].critical == pairs[1].critical == frozenset({3, 7})
-
-    def test_per_item_branch(self):
-        dset = DefectiveSet([0, 2, 4, 6, 8])
-        pairs = critical_zero_cover(dset, 20, 5, 2)
-        assert len(pairs) == 5
-        union = set()
-        for pair in pairs:
-            assert len(pair.critical) == 3 and len(pair.zero) == 3
-            assert not pair.critical & pair.zero
-            assert pair.distinguished in pair.critical
-            assert set(dset) - pair.critical <= pair.zero
-            union |= pair.critical
-        assert union >= set(dset)
-
-    def test_small_set_padded_branch(self):
-        # |D| = u < d - u: critical sets padded with non-defectives
-        pairs = critical_zero_cover(DefectiveSet([5, 9]), 20, 7, 2)
-        for pair in pairs:
-            assert len(pair.critical) == 5 and len(pair.zero) == 3
-            assert {5, 9} <= pair.critical
-
-    def test_invariants_randomized(self):
-        rng = np.random.default_rng(10)
-        for _ in range(100):
-            n = int(rng.integers(8, 24))
-            d = int(rng.integers(2, min(n - 1, 8)))
-            u = int(rng.integers(2, d + 1)) if d > 2 else 2
-            size = int(rng.integers(u, d + 1))
-            if n < d + u + 1:
-                continue
-            dset = DefectiveSet(rng.choice(n, size=size, replace=False).tolist())
-            pairs = critical_zero_cover(dset, n, d, u)
-            union = set()
-            for pair in pairs:
-                assert u <= len(pair.critical) <= d
-                assert len(pair.zero) <= len(pair.critical)
-                assert not pair.critical & pair.zero
-                union |= pair.critical
-            assert union >= set(dset)
-
-    def test_too_small_rejected(self):
-        with pytest.raises(ParameterError):
-            critical_zero_cover(DefectiveSet([1]), 10, 4, 2)
 
 
 class TestThresholdDisjunctImpliesGood:
