@@ -53,6 +53,20 @@ class TestBitTypes:
         assert DefectiveSet.from_one_based([2, 5, 10]) == d
         assert DefectiveSet(d.to_vector(12).support()) == d
 
+    def test_defective_set_is_a_sorted_set(self):
+        d = DefectiveSet([9, 1, 4, 1])
+        assert d.indices == (1, 4, 9) and 4 in d and 5 not in d
+        assert d | DefectiveSet([2, 9]) == DefectiveSet([1, 2, 4, 9])
+        with pytest.raises(ValueError):
+            DefectiveSet([-1, 2])
+
+    def test_support_out_of_range(self):
+        assert BitVector.from_support([], 3) == BitVector.zeros(3)
+        with pytest.raises(ValueError):
+            BitVector.from_support([4], 4)
+        with pytest.raises(ValueError):
+            DefectiveSet([2, 5]).to_vector(5)
+
 
 class TestSerialization:
     def test_packed_layout_lsb_first(self):
@@ -120,6 +134,23 @@ class TestSerialization:
         bad = base64.b64encode(bytes(payload))
         with pytest.raises(ParseError):
             load_matrix(header + b"\n" + bad + b"\n")
+
+    def test_non_ascii_file(self):
+        good = serialize_matrix(BitMatrix.identity(2))
+        with pytest.raises(ParseError):
+            load_matrix(b"\xff" + good)
+        with pytest.raises(ParseError):
+            deserialize_vector(b"\xff" + serialize_vector(BitVector.ones(3)))
+
+    def test_invalid_base64_payload(self):
+        header = serialize_matrix(BitMatrix.identity(2)).split(b"\n", 1)[0]
+        with pytest.raises(ParseError):
+            load_matrix(header + b"\n!!!!\n")
+
+    def test_params_must_be_an_object(self):
+        good = serialize_matrix(BitMatrix.identity(2))
+        with pytest.raises(ParseError):
+            load_matrix(good.replace(b"params={}", b"params=[]"))
 
     def test_vector_header_errors(self):
         with pytest.raises(ParseError):

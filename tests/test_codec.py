@@ -95,7 +95,57 @@ class TestBuildScheme:
             build_scheme(BitMatrix.ones(2, 8), BitMatrix.ones(2, 7), params)
 
 
+class TestBlockPattern:
+    """Block i of T is [1; M; complement(M)] masked by the locator row G_i."""
+
+    def test_single_row_complement(self):
+        m = BitMatrix.from_rows([[1, 0, 1]])
+        scheme = Scheme(SchemeParams(n=3, d=2, u=2), BitMatrix.ones(1, 3), m)
+        assert scheme.t.to_array().tolist() == [[1, 1, 1], [1, 0, 1], [0, 1, 0]]
+
+    def test_all_zero_m_gives_all_ones_bar_block(self):
+        scheme = Scheme(SchemeParams(n=5, d=2, u=2), BitMatrix.ones(1, 5), BitMatrix.zeros(3, 5))
+        assert BitMatrix(scheme.t.to_array()[4:]) == BitMatrix.ones(3, 5)
+
+    def test_complementing_m_swaps_the_halves(self):
+        rng = np.random.default_rng(11)
+        params = SchemeParams(n=10, d=3, u=2)
+        g = BitMatrix.random(rng, 3, 10, 0.6)
+        m = BitMatrix.random(rng, 4, 10, 0.5)
+        scheme = Scheme(params, g, m)
+        flipped = Scheme(params, g, BitMatrix(1 - m.to_array()))
+        for _ in range(20):
+            x = BitVector((rng.random(10) < 0.3).astype(np.uint8))
+            a, b = blocks(scheme, encode(scheme, x)), blocks(flipped, encode(flipped, x))
+            assert np.array_equal(a[:, 0], b[:, 0])
+            assert np.array_equal(a[:, 1:5], b[:, 5:]) and np.array_equal(a[:, 5:], b[:, 1:5])
+
+    def test_zero_locator_row_blanks_its_block(self):
+        g = BitMatrix.from_rows([[1, 1, 1, 1], [0, 0, 0, 0]])
+        scheme = Scheme(SchemeParams(n=4, d=2, u=2), g, worked_scheme().m)
+        y = blocks(scheme, encode(scheme, BitVector.ones(4)))
+        assert y[0].any() and not y[1].any()
+
+    def test_block_sees_only_locator_support(self):
+        # Block i of encode(x) is the all-ones-locator block of x AND G_i.
+        rng = np.random.default_rng(12)
+        params = SchemeParams(n=12, d=3, u=2)
+        g = BitMatrix.random(rng, 4, 12, 0.5)
+        scheme = Scheme(params, g, BitMatrix.random(rng, 5, 12, 0.5))
+        single = Scheme(params, BitMatrix.ones(1, 12), scheme.m)
+        for _ in range(20):
+            x = (rng.random(12) < 0.4).astype(np.uint8)
+            y = blocks(scheme, encode(scheme, BitVector(x)))
+            for i in range(scheme.h):
+                restricted = BitVector(x & g.to_array()[i])
+                assert np.array_equal(y[i], encode(single, restricted).to_array())
+
+
 class TestEncode:
+    def test_length_mismatch(self):
+        with pytest.raises(DimensionError):
+            encode(worked_scheme(), BitVector.zeros(5))
+
     def test_zero_vector(self):
         scheme = worked_scheme()
         assert encode(scheme, BitVector.zeros(4)).weight() == 0

@@ -7,6 +7,7 @@ from tgt import (
     BitMatrix,
     BitVector,
     apply_threshold,
+    flip_positions,
     inject_errors,
 )
 from tgt.errors import DimensionError, ParameterError
@@ -43,6 +44,32 @@ class TestSchemeParams:
     def test_rejects(self, kwargs):
         with pytest.raises(ParameterError):
             SchemeParams(**kwargs)
+
+
+class TestOperators:
+    """One test at threshold u is apply_threshold on a one-row matrix."""
+
+    def test_threshold_examples(self):
+        row = BitMatrix.from_rows([[1, 1, 1, 0]])
+        x = BitVector([1, 1, 0, 0])
+        assert apply_threshold(row, x, 2)[0] == 1
+        assert apply_threshold(row, x, 3)[0] == 0
+        assert apply_threshold(row, BitVector.zeros(4), 1)[0] == 0
+
+    def test_or_examples(self):
+        assert apply_threshold(BitMatrix.from_rows([[1, 0, 1]]), BitVector([0, 0, 1]), 1)[0] == 1
+        assert apply_threshold(BitMatrix.from_rows([[1, 0, 0]]), BitVector([0, 1, 1]), 1)[0] == 0
+
+    def test_threshold_below_one_rejected(self):
+        with pytest.raises(ParameterError):
+            apply_threshold(BitMatrix.from_rows([[1, 1]]), BitVector([1, 1]), 0)
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_or_equals_threshold_one(self, seed):
+        rng = np.random.default_rng(seed)
+        row = (rng.random(12) < 0.4).astype(np.uint8)
+        x = (rng.random(12) < 0.3).astype(np.uint8)
+        assert apply_threshold(BitMatrix([row]), BitVector(x), 1)[0] == int((row & x).any())
 
 
 class TestApplyThreshold:
@@ -117,3 +144,30 @@ class TestInjectErrors:
     def test_too_many_flips(self):
         with pytest.raises(ParameterError):
             inject_errors(BitVector([1, 0]), 3, np.random.default_rng(0))
+
+    def test_always_exactly_e_flips(self):
+        rng = np.random.default_rng(2)
+        y = BitVector.ones(20)
+        for _ in range(50):
+            out, flips = inject_errors(y, 3, rng)
+            assert len(set(flips)) == 3 and list(flips) == sorted(flips)
+            assert int((out.to_array() != y.to_array()).sum()) == 3
+
+    def test_draws_one_choice_without_replacement(self):
+        # The flips are one rng.choice(len, e, replace=False) draw, sorted;
+        # e = 0 draws nothing, so the stream is left where it was.
+        y = BitVector.zeros(30)
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        _, flips = inject_errors(y, 4, rng)
+        assert flips == tuple(sorted(int(i) for i in ref.choice(30, size=4, replace=False)))
+        inject_errors(y, 0, rng)
+        assert rng.random() == ref.random()
+
+    def test_flip_positions(self):
+        y = BitVector([1, 0, 1, 0])
+        assert flip_positions(y, [1, 1, 3]) == BitVector([1, 1, 1, 1])
+        assert flip_positions(y, []) == y
+        with pytest.raises(ParameterError):
+            flip_positions(y, [4])
+        with pytest.raises(ParameterError):
+            flip_positions(y, [-1])
