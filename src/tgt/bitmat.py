@@ -264,17 +264,19 @@ def _parse_int_field(token: str, name: str) -> int:
 
 
 def _split_file(data: bytes, magic: str, fields: int) -> tuple[list[str], str]:
-    """Check the magic and version of a matrix or vector file; returns the
-    remaining `fields - 2` header fields and the base64 payload line."""
+    """Check a matrix or vector file's magic, version and that only whitespace follows
+    its payload line; returns the other `fields - 2` header fields and the payload."""
     noun = "matrix" if magic == _MAGIC_MAT else "vector"
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{noun} file is not ASCII") from exc
-    lines = text.split("\n")
+    lines = text.split("\n", 2)
     head = lines[0].split(" ", fields - 1)
     if len(head) != fields or head[0] != magic or head[1] != _VERSION:
         raise ParseError(f"bad {noun} header: {lines[0]!r}")
+    if len(lines) > 2 and lines[2].strip():
+        raise ParseError(f"{noun} file has content after its payload line")
     return head[2:], lines[1].strip() if len(lines) > 1 else ""
 
 

@@ -58,7 +58,8 @@ _CSV_COLUMNS = [
 
 def generate_scheme(params: SchemeParams, seed: int, c: float, c_g: float,
                     max_attempts: int = 50, validation_sets: int = 200) -> tuple[Scheme, dict, dict]:
-    """Construct and certify both matrices; deterministic in the seed."""
+    """Construct and certify both matrices; deterministic in the seed.
+    A G that fails its held-out validation raises VerificationError."""
     seed_m, seed_g, seed_v = np.random.SeedSequence(seed).spawn(3)
     m, cert = construct_disjunct(
         params.n, params.d, np.random.default_rng(seed_m), max_attempts=max_attempts, c=c
@@ -70,6 +71,9 @@ def generate_scheme(params: SchemeParams, seed: int, c: float, c_g: float,
     validation = validate_good(
         g, params, np.random.default_rng(seed_v), validation_sets, 2 * params.e
     )
+    if not validation["passed"]:
+        raise VerificationError(f"G is not good at budget {2 * params.e} for held-out "
+                                f"defective set {validation['failure']['items']}")
     return Scheme(params, g, m), cert.to_json(), validation
 
 

@@ -291,7 +291,7 @@ def verify_threshold_disjunct(
 ) -> ThresholdDisjunctReport:
     """Exhaustively check the threshold-disjunct property at desk scale.
 
-    Enumerates every (S, Z, j) triple; only feasible for small n, so the
+    Counts every (S, Z, j) triple, one array product per S and |Z|; the
     projected triple count is charged against the work budget up front.
     """
     n = g.cols
@@ -308,31 +308,24 @@ def verify_threshold_disjunct(
     if total > cap:
         raise BudgetError(f"threshold check needs ~{total} triples, budget is {cap}")
 
-    a = g.to_array()
-    min_count: int | None = None
-    witness = None
-    passed = True
-    checked = 0
+    a = g.to_array().astype(np.float32)  # counts exact below 2^24 rows
+    lowest, witness = g.rows + 1, None  # no count exceeds the row count
     for s_size in range(u, d + 1):
+        # Zero sets per size: positions into [n] minus S, lexicographic, and their 0/1 rows.
+        picks = [np.array(list(combinations(range(n - s_size), z)), np.intp)
+                 for z in range(min(s_size, n - s_size) + 1)]
+        masks = [np.eye(n - s_size, dtype=np.float32)[pick].sum(axis=1) for pick in picks]
         for s in combinations(range(n), s_size):
-            s_cols = a[:, s]
-            weight_u = s_cols.sum(axis=1) == u
-            rest = [j for j in range(n) if j not in s]
-            for z_size in range(0, min(s_size, n - s_size) + 1):
-                for z in combinations(rest, z_size):
-                    ok = weight_u & ~a[:, z].any(axis=1) if z_size else weight_u
-                    counts = s_cols[ok].sum(axis=0)
-                    checked += s_size
-                    low = int(counts.min()) if counts.size else 0
-                    if min_count is None or low < min_count:
-                        min_count = low
-                        j = s[int(np.argmin(counts))]
-                        witness = (s, z, j)
-                    if low <= e:
-                        passed = False
-    return ThresholdDisjunctReport(
-        d, u, e, passed, min_count or 0, None if passed else witness, checked
-    )
+            qualifying = a[a[:, s].sum(axis=1) == u]  # rows meeting S in exactly u items
+            rest = np.delete(np.arange(n), s)
+            for pick, mask in zip(picks, masks):
+                # counts[Z, j]: qualifying rows that miss Z and contain j.
+                counts = ((mask @ qualifying[:, rest].T) == 0) @ qualifying[:, s]
+                if counts.min() < lowest:
+                    zi, ji = divmod(int(counts.argmin()), s_size)
+                    lowest, witness = int(counts.min()), (s, tuple(rest[pick[zi]].tolist()), s[ji])
+    passed = lowest > e
+    return ThresholdDisjunctReport(d, u, e, passed, lowest, None if passed else witness, total)
 
 
 def is_good_for(g: BitMatrix, dset: DefectiveSet, u: int, e: int) -> GoodnessReport:

@@ -152,6 +152,17 @@ class TestSerialization:
         with pytest.raises(ParseError):
             load_matrix(good.replace(b"params={}", b"params=[]"))
 
+    def test_content_after_payload_line(self):
+        matrix = serialize_matrix(BitMatrix.identity(3))
+        vector = serialize_vector(BitVector.ones(3))
+        with pytest.raises(ParseError):
+            load_matrix(matrix + b"garbage\nmore")
+        with pytest.raises(ParseError):
+            deserialize_vector(vector + b"junk\n")
+        # Whitespace after the payload line is still accepted.
+        assert load_matrix(matrix + b"\n \n")[0] == BitMatrix.identity(3)
+        assert deserialize_vector(vector + b"\n\t") == BitVector.ones(3)
+
     def test_vector_header_errors(self):
         with pytest.raises(ParseError):
             deserialize_vector(b"TGTVEC v2 len=3\nAA==\n")

@@ -59,6 +59,19 @@ class TestGen:
                       "--out", str(tmp_path / "x"))
         assert code == 2
 
+    @pytest.mark.parametrize("command, extra", [
+        ("gen", ["--out", "{dir}/b"]),
+        ("simulate", ["--trials", "1", "--out", "{dir}/run"]),
+        ("bench", ["--trials", "1", "--out", "{dir}/bench.csv"]),
+    ], ids=["gen", "simulate", "bench"])
+    def test_failed_held_out_validation(self, tmp_path, capsys, command, extra):
+        """Seed 7 at p=0.5 builds a G that fails one of its held-out defective sets."""
+        argv = [command, "--n", "16", "--d", "3", "--u", "2", "--e", "1", "--p", "0.5",
+                "--seed", "7", *(a.format(dir=tmp_path) for a in extra)]
+        assert main(argv) == 4
+        assert "held-out defective set" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestVerify:
     def test_identity_verifies(self, tmp_path, capsys):
@@ -98,6 +111,14 @@ class TestVerify:
         path.write_bytes(serialize_matrix(BitMatrix.identity(8), "disjunct"))
         code, _ = run(capsys, "verify", str(path), "--d", "7")
         assert code == 5
+
+    @pytest.mark.parametrize("flags", [[], ["--check", "threshold", "--d", "3"]],
+                             ids=["disjunct-without-d", "threshold-without-u"])
+    def test_missing_order_flags(self, bundle, tmp_path, capsys, flags):
+        code = main(["verify", str(bundle / "G.mat"), *flags, "--out", str(tmp_path / "c.json")])
+        assert code == 2
+        assert "required" in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
 
     def test_threshold_check(self, tmp_path, capsys):
         import numpy as np
@@ -207,6 +228,12 @@ class TestSimulate:
         assert summary["subthreshold_trials"] > 0
         assert summary["subthreshold_empty"] == summary["subthreshold_trials"]
 
+    def test_min_defectives_above_d(self, bundle, capsys):
+        code = main(["simulate", "--bundle", str(bundle), "--trials", "1",
+                     "--min-defectives", "4"])
+        assert code == 2
+        assert "min defectives" in capsys.readouterr().err
+
     def test_zero_trials_usage_error(self, capsys):
         code, _ = run(capsys, "simulate", "--n", "16", "--d", "3", "--u", "2",
                       "--trials", "0")
@@ -278,6 +305,38 @@ class TestMalformedInput:
         code, _ = run(capsys, "encode", "--bundle", str(copy),
                       "--defectives", "2,9", "--out", str(tmp_path / "y.vec"))
         assert code == 2
+
+    def test_unknown_manifest_format(self, bundle, tmp_path, capsys):
+        copy = tmp_path / "b"
+        shutil.copytree(bundle, copy)
+        manifest = json.loads((copy / "scheme.json").read_text())
+        manifest["format"] = "tgt-scheme-v0"
+        (copy / "scheme.json").write_text(json.dumps(manifest))
+        code = main(["encode", "--bundle", str(copy),
+                     "--defectives", "2,9", "--out", str(tmp_path / "y.vec")])
+        assert code == 2
+        assert "unknown scheme format" in capsys.readouterr().err
+
+    def test_matrices_swapped(self, bundle, tmp_path, capsys):
+        copy = tmp_path / "b"
+        shutil.copytree(bundle, copy)
+        (copy / "G.mat").write_bytes((bundle / "M.mat").read_bytes())
+        (copy / "M.mat").write_bytes((bundle / "G.mat").read_bytes())
+        code = main(["encode", "--bundle", str(copy),
+                     "--defectives", "2,9", "--out", str(tmp_path / "y.vec")])
+        assert code == 2
+        assert "unexpected matrix kinds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["G.mat", "M.mat"])
+    def test_matrix_with_appended_lines(self, bundle, tmp_path, capsys, name):
+        y_path = tmp_path / "y.vec"
+        run(capsys, "encode", "--bundle", str(bundle), "--defectives", "2,9", "--out", str(y_path))
+        copy = tmp_path / "b"
+        shutil.copytree(bundle, copy)
+        with (copy / name).open("ab") as fh:
+            fh.write(b"garbage\nmore")
+        assert main(["decode", "--bundle", str(copy), "--y", str(y_path)]) == 2
+        assert "content after its payload line" in capsys.readouterr().err
 
     def test_encode_missing_item_vector(self, bundle, tmp_path, capsys):
         code, _ = run(capsys, "encode", "--bundle", str(bundle),

@@ -94,6 +94,11 @@ class TestBuildScheme:
         with pytest.raises(DimensionError):
             build_scheme(BitMatrix.ones(2, 8), BitMatrix.ones(2, 7), params)
 
+    def test_params_n_mismatch(self):
+        params = SchemeParams(n=9, d=2, u=2)
+        with pytest.raises(DimensionError):
+            Scheme(params, BitMatrix.ones(2, 8), BitMatrix.ones(2, 8))
+
 
 class TestBlockPattern:
     """Block i of T is [1; M; complement(M)] masked by the locator row G_i."""
@@ -465,6 +470,10 @@ class TestMultisetAndTolerantDecoding:
         stride = 2 * scheme.k + 1
         for pos in adversarial_flip_positions(scheme, x, 1):
             assert pos % stride == 0
+
+    def test_no_adversarial_flips_at_zero_budget(self, scheme16_e1):
+        scheme, _ = scheme16_e1
+        assert adversarial_flip_positions(scheme, DefectiveSet([1, 5]).to_vector(16), 0) == ()
 
 
 class TestBundles:

@@ -20,7 +20,7 @@ from tgt import (
     verify_threshold_disjunct,
 )
 from tgt.constructions import check_disjunct_slow, disjunct_row_count, good_row_count
-from tgt.errors import BudgetError, ParameterError
+from tgt.errors import BudgetError, ConstructionError, ParameterError
 from tgt.semantics import SchemeParams
 
 
@@ -56,6 +56,10 @@ class TestVerifyDisjunct:
             m = BitMatrix.random(np.random.default_rng(seed), 40, 16, 1 / 3)
             fast = verify_disjunct(m, 2).verified
             assert fast == check_disjunct_slow(m, 2)
+
+    def test_unknown_mode(self):
+        with pytest.raises(ParameterError):
+            verify_disjunct(BitMatrix.identity(4), 1, mode="bogus")
 
     def test_sampled_mode_finds_gross_violations(self):
         cert = verify_disjunct(
@@ -258,6 +262,12 @@ class TestConstructDisjunct:
         with pytest.raises(ParameterError):
             construct_disjunct(8, 1, np.random.default_rng(0), max_attempts=attempts)
 
+    def test_out_of_attempts(self):
+        # c=0.1 gives 2 rows, too few for 8 columns to be 2-disjunct.
+        with pytest.raises(ConstructionError) as exc:
+            construct_disjunct(8, 1, np.random.default_rng(0), max_attempts=3, c=0.1)
+        assert exc.value.attempts == 3
+
     def test_deterministic_in_seed(self):
         m1, _ = construct_disjunct(12, 2, np.random.default_rng(5))
         m2, _ = construct_disjunct(12, 2, np.random.default_rng(5))
@@ -292,6 +302,56 @@ class TestVerifyThresholdDisjunct:
         with pytest.raises(ParameterError):
             verify_threshold_disjunct(BitMatrix.zeros(5, 6), 2, 2, -1)
 
+    def test_threshold_above_d(self):
+        with pytest.raises(ParameterError):
+            verify_threshold_disjunct(BitMatrix.ones(5, 6), 2, 3, 0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_reference(self, data):
+        n = data.draw(st.integers(3, 7), label="n")
+        d = data.draw(st.integers(1, min(4, n - 1)), label="d")
+        u = data.draw(st.integers(1, d), label="u")
+        e = data.draw(st.integers(0, 3), label="e")
+        rows = data.draw(st.integers(1, 8), label="rows")
+        fill = data.draw(st.sampled_from(["random", "zeros", "ones"]), label="fill")
+        if fill == "random":
+            bits = data.draw(st.lists(st.booleans(), min_size=rows * n, max_size=rows * n))
+            g = BitMatrix(np.array(bits, dtype=np.uint8).reshape(rows, n))
+        else:
+            g = getattr(BitMatrix, fill)(rows, n)
+        report = verify_threshold_disjunct(g, d, u, e)
+        assert (report.d, report.u, report.e) == (d, u, e)
+        expected = threshold_disjunct_reference(g, d, u, e)
+        assert (report.passed, report.min_count, report.witness, report.triples_checked) == expected
+
+
+def threshold_disjunct_reference(g: BitMatrix, d: int, u: int, e: int):
+    """(passed, min_count, witness, triples) straight from the definition.
+
+    Walks every (S, Z, j) triple in order (|S| from u to d, S lexicographic,
+    |Z| from 0 to min(|S|, n - |S|), Z lexicographic in [n] minus S, j in S)
+    and counts the rows meeting S in exactly u items, missing Z and holding
+    j; the first triple at the lowest count is the witness.
+    """
+    n = g.cols
+    rows = [set(np.flatnonzero(r).tolist()) for r in g.to_array()]
+    lowest, witness, triples = None, None, 0
+    for s_size in range(u, d + 1):
+        for s in combinations(range(n), s_size):
+            rest = [i for i in range(n) if i not in s]
+            for z_size in range(min(s_size, n - s_size) + 1):
+                for z in combinations(rest, z_size):
+                    for j in s:
+                        triples += 1
+                        count = sum(
+                            len(r & set(s)) == u and not r & set(z) and j in r for r in rows
+                        )
+                        if lowest is None or count < lowest:
+                            lowest, witness = count, (s, z, j)
+    passed = lowest > e
+    return passed, lowest, None if passed else witness, triples
+
 
 class TestIsGoodFor:
     def test_worked_example(self):
@@ -315,6 +375,15 @@ class TestIsGoodFor:
     def test_negative_error_budget(self):
         with pytest.raises(ParameterError):
             is_good_for(BitMatrix.ones(4, 6), DefectiveSet([0, 1]), 2, -1)
+
+    def test_index_out_of_range(self):
+        with pytest.raises(ParameterError):
+            is_good_for(BitMatrix.ones(4, 6), DefectiveSet([1, 6]), 2, 0)
+
+    def test_empty_set_is_vacuously_good(self):
+        report = is_good_for(BitMatrix.ones(4, 6), DefectiveSet([]), 2, 0)
+        assert report.is_good and report.covers_all
+        assert report.qualifying_rows == () and report.per_item_counts == {}
 
 
 class TestConstructGood:

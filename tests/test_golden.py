@@ -10,10 +10,12 @@ import base64
 import hashlib
 import json
 import shutil
+from itertools import combinations
 
+import numpy as np
 import pytest
 
-from tgt import load_bundle
+from tgt import BitMatrix, load_bundle, serialize_matrix
 from tgt.cli import main
 from tgt.errors import ParseError
 
@@ -64,6 +66,21 @@ VERIFY_PAYLOADS = {
     "d6-sampled": (["--d", "6", "--mode", "sampled", "--trials", "20000", "--seed", "3"], 0, {
         "check": "disjunct", "d": 6, "kind": "disjunct", "method": "sampled",
         "trials": 20000, "verified": True,
+    }),
+}
+
+# `tgt verify --check threshold` payloads (minus "path") for the n=16 bundle's
+# G.mat, with exit codes; both fail on the same (S, Z, j) triple.
+THRESHOLD_PAYLOADS = {
+    "d3-u2-e1": (["--d", "3", "--u", "2", "--e", "1"], 4, {
+        "check": "threshold", "d": 3, "u": 2, "e": 1, "kind": "good", "min_count": 0,
+        "triples_checked": 660480, "verified": False,
+        "witness": {"critical": [1, 2], "zero": [3, 8], "column": 1},
+    }),
+    "d2-u2-e0": (["--d", "2", "--u", "2", "--e", "0"], 4, {
+        "check": "threshold", "d": 2, "u": 2, "e": 0, "kind": "good", "min_count": 0,
+        "triples_checked": 25440, "verified": False,
+        "witness": {"critical": [1, 2], "zero": [3, 8], "column": 1},
     }),
 }
 
@@ -128,6 +145,37 @@ def test_verify_payloads(bundles, tmp_path, capsys, case):
     payload = json.loads(capsys.readouterr().out)
     del payload["path"]
     assert payload == expected
+
+
+@pytest.mark.parametrize("case", sorted(THRESHOLD_PAYLOADS))
+def test_threshold_payloads(bundles, tmp_path, capsys, case):
+    flags, code, expected = THRESHOLD_PAYLOADS[case]
+    capsys.readouterr()
+    args = ["verify", str(bundles / "b16" / "G.mat"), "--check", "threshold", *flags,
+            "--out", str(tmp_path / "c.json")]
+    assert main(args) == code
+    payload = json.loads(capsys.readouterr().out)
+    del payload["path"]
+    assert payload == expected
+
+
+def test_threshold_payload_passing(tmp_path, capsys):
+    """Demo 03's complete weight-2 matrix on 6 items passes at (2, 2; 0)."""
+    rows = np.zeros((15, 6), dtype=np.uint8)
+    for row, pair in enumerate(combinations(range(6), 2)):
+        rows[row, list(pair)] = 1
+    path = tmp_path / "w2.mat"
+    path.write_bytes(serialize_matrix(BitMatrix(rows), "good"))
+    capsys.readouterr()
+    args = ["verify", str(path), "--check", "threshold", "--d", "2", "--u", "2", "--e", "0",
+            "--out", str(tmp_path / "c.json")]
+    assert main(args) == 0
+    payload = json.loads(capsys.readouterr().out)
+    del payload["path"]
+    assert payload == {
+        "check": "threshold", "d": 2, "u": 2, "e": 0, "kind": "good", "min_count": 1,
+        "triples_checked": 330, "verified": True,
+    }
 
 
 def _tamper_payload(data: bytes, edit) -> bytes:

@@ -20,7 +20,7 @@ from tgt import (
     inject_errors,
 )
 from tgt.cli import generate_scheme
-from tgt.errors import BudgetError, ParameterError
+from tgt.errors import BudgetError, DimensionError, ParameterError
 from tgt.semantics import SchemeParams
 
 
@@ -84,6 +84,14 @@ class TestBruteForceDecode:
             brute_force_decode(t, BitVector.zeros(4), 2, 0)
         with pytest.raises(ParameterError):
             brute_force_decode(t, BitVector.zeros(4), 2, 1, budget=-1)
+
+    def test_wrong_outcome_length(self):
+        with pytest.raises(DimensionError):
+            brute_force_decode(BitMatrix.identity(4), BitVector.zeros(3), 2, 1)
+
+    def test_more_defectives_than_items(self):
+        with pytest.raises(ParameterError):
+            brute_force_decode(BitMatrix.identity(4), BitVector.zeros(4), 5, 1)
 
 
 class TestCrossCheck:

@@ -145,6 +145,10 @@ class TestInjectErrors:
         with pytest.raises(ParameterError):
             inject_errors(BitVector([1, 0]), 3, np.random.default_rng(0))
 
+    def test_negative_error_count(self):
+        with pytest.raises(ParameterError):
+            inject_errors(BitVector([1, 0]), -1, np.random.default_rng(0))
+
     def test_always_exactly_e_flips(self):
         rng = np.random.default_rng(2)
         y = BitVector.ones(20)
