@@ -41,8 +41,9 @@ print(f"\nG: {g.shape[0]} rows for n={params.n} (p={params.p} margin)")
 
 dset = DefectiveSet(rng.choice(32, size=4, replace=False).tolist())
 report = is_good_for(g, dset, u=2, e=2 * params.e)
-print(f"goodness for {dset.to_one_based()}: {report.is_good}, "
-      f"counts {sorted(report.per_item_counts.values())}")
+counts = {j + 1: c for j, c in report.per_item_counts.items()}
+print(f"goodness for {dset.to_one_based()} at budget {2 * params.e}: {report.is_good}, "
+      f"rows meeting it in exactly 2 items, per item: {counts}")
 
 # At desk scale the stronger threshold-disjunct property can be checked by
 # full enumeration, and it implies fixed-D goodness for every D.

@@ -8,7 +8,6 @@ from tgt import (
     brute_force_decode,
     construct_disjunct,
     construct_good,
-    cross_check,
     decode_blocks,
     encode,
     inject_errors,
@@ -37,8 +36,10 @@ print(f"consistency set size at budget 1: {len(consistent)}")
 print("truth contained:", truth in consistent)
 
 decoded = decode_blocks(scheme, noisy).multiset.at_least(2)
-report = cross_check(decoded, truth)
-print(f"decoder output {decoded.to_one_based()}: exact={report.exact}")
+missed = sorted(set(truth.indices) - set(decoded.indices))
+extra = sorted(set(decoded.indices) - set(truth.indices))
+print(f"decoder output {decoded.to_one_based()}: exact={decoded == truth}, "
+      f"missed {[j + 1 for j in missed]}, extra {[j + 1 for j in extra]}")
 
 if consistent.is_singleton():
     print("singleton consistency set; decoder agrees:",

@@ -44,14 +44,13 @@ from .constructions import (
 from .errors import (
     BudgetError,
     ConstructionError,
-    CoverOverflowError,
     DimensionError,
     ParameterError,
     ParseError,
     TgtError,
     VerificationError,
 )
-from .oracle import ConsistencySet, CrossCheckReport, brute_force_decode, cross_check
+from .oracle import ConsistencySet, brute_force_decode
 from .semantics import (
     SchemeParams,
     apply_threshold,
@@ -62,8 +61,7 @@ from .semantics import (
 __all__ = [
     "BitMatrix", "BitVector", "DefectiveSet", "SchemeParams", "Scheme",
     "CandidateMultiset", "DecodeReport", "ConsistencySet",
-    "CrossCheckReport", "DisjunctCertificate", "GoodnessReport",
-    "ThresholdDisjunctReport",
+    "DisjunctCertificate", "GoodnessReport", "ThresholdDisjunctReport",
     "serialize_matrix", "load_matrix", "serialize_vector", "deserialize_vector",
     "apply_threshold", "inject_errors", "flip_positions",
     "verify_disjunct", "construct_disjunct", "verify_threshold_disjunct",
@@ -72,10 +70,9 @@ __all__ = [
     "build_scheme", "encode", "recover_yprime", "cover_decode",
     "decode_blocks", "adversarial_flip_positions",
     "save_bundle", "load_bundle",
-    "brute_force_decode", "cross_check",
+    "brute_force_decode",
     "TgtError", "DimensionError", "ParameterError", "ParseError",
     "BudgetError", "ConstructionError", "VerificationError",
-    "CoverOverflowError",
 ]
 
 __version__ = "0.1.0"

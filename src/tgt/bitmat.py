@@ -208,9 +208,6 @@ class DefectiveSet:
     def __contains__(self, item) -> bool:
         return int(item) in self.indices
 
-    def __or__(self, other: "DefectiveSet") -> "DefectiveSet":
-        return DefectiveSet(self.indices + other.indices)
-
     def __repr__(self) -> str:
         return f"DefectiveSet({list(self.indices)})"
 
@@ -309,7 +306,7 @@ def load_matrix(data: bytes) -> tuple[BitMatrix, str, dict]:
         raise ParseError(f"unknown matrix kind {kind!r}")
     try:
         params = json.loads(_parse_field(fields[3], "params"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also overlong integers, deep nesting
         raise ParseError("params field is not valid JSON") from exc
     if not isinstance(params, dict):
         raise ParseError("params field must be a JSON object")

@@ -47,7 +47,7 @@ from .bitmat import (
     payload_bytes,
     serialize_matrix,
 )
-from .errors import CoverOverflowError, DimensionError, ParameterError, ParseError
+from .errors import DimensionError, ParameterError, ParseError
 from .semantics import SchemeParams
 
 
@@ -148,16 +148,12 @@ def _survivors(ma: np.ndarray, yprime: np.ndarray) -> np.ndarray:
     return (1 - yprime).astype(np.float32) @ ma.astype(np.float32) == 0
 
 
-def cover_decode(m: BitMatrix, yprime: BitVector, cap: int | None = None) -> DefectiveSet:
+def cover_decode(m: BitMatrix, yprime: BitVector) -> DefectiveSet:
     """Classic OR-semantics decoder: keep the columns whose every pool is
-    positive.  Exact for |supp(x)| up to the disjunctness order of m.
-    Raises CoverOverflowError when more than `cap` columns survive."""
+    positive.  Exact for |supp(x)| up to the disjunctness order of m."""
     if m.rows != len(yprime):
         raise DimensionError(f"matrix has {m.rows} rows, outcome has {len(yprime)}")
-    candidates = np.flatnonzero(_survivors(m.to_array(), yprime.to_array()))
-    if cap is not None and candidates.size > cap:
-        raise CoverOverflowError(int(candidates.size), cap)
-    return DefectiveSet(candidates.tolist())
+    return DefectiveSet(np.flatnonzero(_survivors(m.to_array(), yprime.to_array())).tolist())
 
 
 @dataclass(frozen=True)
@@ -391,7 +387,7 @@ def load_bundle(directory: str | Path) -> tuple[Scheme, dict]:
     directory = Path(directory)
     try:
         manifest = json.loads(read_file(directory / "scheme.json"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ParseError(f"cannot read scheme manifest in {directory}: {exc}") from exc
     params = _manifest_params(manifest, directory)
     g, kind_g, header_g = load_matrix(read_file(directory / "G.mat"))

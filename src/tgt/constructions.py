@@ -110,20 +110,12 @@ class DisjunctCertificate:
 
 @dataclass(frozen=True)
 class GoodnessReport:
-    defective_set: DefectiveSet
-    u: int
-    e: int
-    qualifying_rows: tuple[int, ...]
-    per_item_counts: dict[int, int]
-    covers_all: bool
+    per_item_counts: dict[int, int]  # item -> rows meeting D in exactly u items that contain it
     is_good: bool
 
 
 @dataclass(frozen=True)
 class ThresholdDisjunctReport:
-    d: int
-    u: int
-    e: int
     passed: bool
     min_count: int
     witness: tuple[tuple[int, ...], tuple[int, ...], int] | None
@@ -278,7 +270,6 @@ def construct_disjunct(
     raise ConstructionError(
         f"no ({order})-disjunct matrix found in {max_attempts} attempts "
         f"(n={n}, k={k}, density={density:.3f})",
-        attempts=max_attempts,
     )
 
 
@@ -325,30 +316,24 @@ def verify_threshold_disjunct(
                     zi, ji = divmod(int(counts.argmin()), s_size)
                     lowest, witness = int(counts.min()), (s, tuple(rest[pick[zi]].tolist()), s[ji])
     passed = lowest > e
-    return ThresholdDisjunctReport(d, u, e, passed, lowest, None if passed else witness, total)
+    return ThresholdDisjunctReport(passed, lowest, None if passed else witness, total)
 
 
 def is_good_for(g: BitMatrix, dset: DefectiveSet, u: int, e: int) -> GoodnessReport:
     """Fixed-D goodness check.
 
     Qualifying rows are those meeting D in exactly u items.  The matrix is
-    good for D when the qualifying rows cover D and every item of D lies
-    in strictly more than e of them.  (Coverage follows from the counts
-    whenever e >= 0, but is reported separately.)
+    good for D when every item of D lies in strictly more than e of them,
+    so that the qualifying rows also cover D.
     """
     _check_at_least("error budget e", e, 0)
     items = np.asarray(dset.indices, dtype=np.int64)
     if items.size and items.max() >= g.cols:
         raise ParameterError("defective index out of range")
-    if items.size == 0:
-        return GoodnessReport(dset, u, e, (), {}, True, True)
     sub = g.to_array()[:, items]
-    qualifying = np.flatnonzero(sub.sum(axis=1) == u)
-    counts = sub[qualifying].sum(axis=0) if qualifying.size else np.zeros(items.size, np.int64)
+    counts = sub[sub.sum(axis=1) == u].sum(axis=0)
     per_item = {int(j): int(c) for j, c in zip(items, counts)}
-    covers = bool((counts >= 1).all())
-    good = bool((counts > e).all())
-    return GoodnessReport(dset, u, e, tuple(int(r) for r in qualifying), per_item, covers, good)
+    return GoodnessReport(per_item, bool((counts > e).all()))
 
 
 def _sample_defective_set(rng: np.random.Generator, n: int, size: int) -> DefectiveSet:
@@ -418,7 +403,5 @@ def construct_good(
         f"no good matrix found in {max_attempts} attempts "
         f"(n={params.n}, d={params.d}, u={params.u}, e={params.e}, "
         f"p={params.p}, h={h}); last failure: {last_failure}",
-        attempts=max_attempts,
-        witness=last_failure,
     )
 

@@ -24,20 +24,6 @@ class BudgetError(TgtError):
 class ConstructionError(TgtError):
     """Randomized construction failed verification on every attempt."""
 
-    def __init__(self, message: str, attempts: int = 0, witness=None):
-        super().__init__(message)
-        self.attempts = attempts
-        self.witness = witness
-
 
 class VerificationError(TgtError):
     """A matrix failed a requested property check (used by the CLI)."""
-
-
-class CoverOverflowError(TgtError):
-    """Cover decoding produced more candidates than the configured cap."""
-
-    def __init__(self, count: int, cap: int):
-        super().__init__(f"cover decode produced {count} candidates, cap is {cap}")
-        self.count = count
-        self.cap = cap

@@ -10,7 +10,7 @@ correct at desk scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import chain, combinations, islice
 
 import numpy as np
@@ -27,7 +27,7 @@ class ConsistencySet:
     """Candidate sets whose simulated outcome is within the budget."""
 
     candidates: tuple[DefectiveSet, ...]
-    mismatch_budget: int
+    budget: InitVar[int] = 0  # the caller's own budget; accepted, not stored
 
     def __len__(self) -> int:
         return len(self.candidates)
@@ -78,20 +78,4 @@ def brute_force_decode(
             x[list(subset), col] = 1.0
         dist = ((tf @ x >= u) != ya[:, None]).sum(axis=0)
         kept.extend(DefectiveSet(subsets[col]) for col in np.flatnonzero(dist <= budget))
-    return ConsistencySet(tuple(kept), budget)
-
-
-@dataclass(frozen=True)
-class CrossCheckReport:
-    false_positives: tuple[int, ...]
-    false_negatives: tuple[int, ...]
-    exact: bool
-
-
-def cross_check(decoded: DefectiveSet, truth: DefectiveSet) -> CrossCheckReport:
-    """Compare a decoded set against ground truth."""
-    dec = set(decoded.indices)
-    tru = set(truth.indices)
-    fp = tuple(sorted(dec - tru))
-    fn = tuple(sorted(tru - dec))
-    return CrossCheckReport(fp, fn, not fp and not fn)
+    return ConsistencySet(tuple(kept))

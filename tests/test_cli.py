@@ -1,13 +1,14 @@
 import json
 import shutil
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tgt import BitMatrix, serialize_matrix
+from tgt import BitMatrix, DefectiveSet, serialize_matrix, serialize_vector
 from tgt.cli import main
 
 
@@ -383,6 +384,22 @@ class TestMalformedInput:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("value", [b"[" * 100_000, b"1" * 5_000], ids=["deep", "long-int"])
+    def test_json_past_the_parser_limits(self, bundle, tmp_path, capsys, value):
+        """Nesting past the recursion limit and integers past the digit limit
+        are malformed JSON in a manifest and in a matrix header's params."""
+        copy = tmp_path / "b"
+        shutil.copytree(bundle, copy)
+        (copy / "scheme.json").write_bytes(value)
+        head, payload = (bundle / "M.mat").read_bytes().split(b"\n", 1)
+        m_path = tmp_path / "M.mat"
+        m_path.write_bytes(head.split(b" params=")[0] + b" params=" + value + b"\n" + payload)
+        assert main(["encode", "--bundle", str(copy), "--defectives", "2,9",
+                     "--out", str(tmp_path / "y.vec")]) == 2
+        assert "cannot read scheme manifest" in capsys.readouterr().err
+        assert main(["verify", str(m_path), "--d", "2"]) == 2
+        assert "params field is not valid JSON" in capsys.readouterr().err
+
     def test_m_header_disagrees_with_manifest(self, bundle, tmp_path, capsys):
         copy = tmp_path / "b"
         shutil.copytree(bundle, copy)
@@ -531,3 +548,62 @@ class TestArgvFuzz:
             except SystemExit as exc:
                 code = exc.code
         assert code in {0, 2, 3, 4, 5}, argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(bundle, tmp_path_factory):
+    """A copy of the bundle beside an item vector and its outcome vector."""
+    path = tmp_path_factory.mktemp("fuzz")
+    shutil.copytree(bundle, path / "b")
+    (path / "x.vec").write_bytes(serialize_vector(DefectiveSet([1, 8]).to_vector(16)))
+    assert main(["encode", "--bundle", str(bundle), "--x", str(path / "x.vec"),
+                 "--out", str(path / "y.vec")]) == 0
+    return path
+
+
+_READERS = {  # file -> the subcommands that read it
+    "b/G.mat": ["verify", "encode", "decode"],
+    "b/M.mat": ["verify", "encode", "decode"],
+    "b/scheme.json": ["encode", "decode"],
+    "x.vec": ["encode"],
+    "y.vec": ["decode"],
+}
+_SPLICES = st.one_of(
+    st.binary(max_size=4),
+    st.sampled_from([b"0", b"9", b"-1", b"1e308", b"NaN", b"_", b" ", b"\n", b"[", b"}", b'"']),
+)
+
+
+@st.composite
+def _file_mutations(draw):
+    """(file, subcommand, edit): the edit replaces `cut` bytes at `at` with
+    `splice`; a cut of None truncates there."""
+    name = draw(st.sampled_from(sorted(_READERS)))
+    command = draw(st.sampled_from(_READERS[name]))
+    at = draw(st.integers(0, 1 << 20))
+    cut = draw(st.one_of(st.integers(0, 8), st.none()))
+    return name, command, (at, cut, draw(_SPLICES))
+
+
+class TestFileFuzz:
+    @settings(max_examples=80, deadline=None)
+    @given(_file_mutations())
+    def test_mutated_inputs_exit_with_documented_codes(self, fuzz_inputs, case):
+        name, command, (at, cut, splice) = case
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "in"
+            shutil.copytree(fuzz_inputs, root)
+            data = (root / name).read_bytes()
+            at %= len(data) + 1
+            end = len(data) if cut is None else at + cut
+            (root / name).write_bytes(data[:at] + splice + data[end:])
+            argv = {
+                "verify": ["verify", str(root / name), "--d", "3", "--out", f"{tmp}/c.json"],
+                "encode": ["encode", "--bundle", str(root / "b"), "--x", str(root / "x.vec"),
+                           "--out", f"{tmp}/y.vec"],
+                "decode": ["decode", "--bundle", str(root / "b"), "--y", str(root / "y.vec")],
+            }[command]
+            start = time.perf_counter()
+            code = main(argv)
+            assert time.perf_counter() - start < 5, case
+        assert code in {0, 2, 3, 4, 5}, case

@@ -30,7 +30,7 @@ from tgt import (
 from tgt import codec, construct_good
 from tgt.cli import main, run_trials
 from tgt.codec import BlockTrace, flatten_outcomes, split_outcome
-from tgt.errors import CoverOverflowError, DimensionError, ParameterError, ParseError
+from tgt.errors import DimensionError, ParameterError, ParseError
 from tgt.oracle import brute_force_decode
 from tgt.semantics import SchemeParams
 
@@ -243,10 +243,8 @@ class TestCoverDecode:
             y = apply_threshold(m, truth.to_vector(16), 1)
             assert cover_decode(m, y) == truth
 
-    def test_overflow(self):
-        m = BitMatrix.ones(2, 6)
-        with pytest.raises(CoverOverflowError):
-            cover_decode(m, BitVector.ones(2), cap=3)
+    def test_all_positive_keeps_every_column(self):
+        assert cover_decode(BitMatrix.ones(2, 6), BitVector.ones(2)) == DefectiveSet(range(6))
 
     def test_dimension_error(self):
         with pytest.raises(DimensionError):
@@ -321,12 +319,10 @@ def reference_decode(scheme, y):
             traces.append(BlockTrace(i, False, False, "negative"))
             continue
         yprime = recover_yprime(row[1 : k + 1], row[k + 1 :])
-        try:
-            items = cover_decode(scheme.m, BitVector(yprime), cap=scheme.params.d + 1).indices
-        except CoverOverflowError:
+        items = cover_decode(scheme.m, BitVector(yprime)).indices
+        if len(items) > scheme.params.d + 1:
             traces.append(BlockTrace(i, True, False, "overflow"))
-            continue
-        if len(items) != u:
+        elif len(items) != u:
             traces.append(BlockTrace(i, True, False, "size"))
         elif not np.array_equal(ma[:, list(items)].max(axis=1), yprime):
             traces.append(BlockTrace(i, True, False, "or-mismatch"))
