@@ -17,9 +17,9 @@ Blocks whose restriction has a different weight are screened out by the
 size and OR-consistency checks; the decoder also keeps per-item
 occurrence counts so that up to e erroneous outcomes can be outvoted (an
 error corrupts at most one block, so a frequency threshold of e+1
-separates true items from fabricated ones).  One array pass over the
-stacked positive blocks decides every block; the cover rule is written
-once, in `_survivors`.
+separates true items from fabricated ones).  The stacked positive blocks
+are decoded together by the cover rule, written once in `_survivors`:
+first on M's first rows, then in full on the columns that pass.
 
 A bundle stores G, M and T as matrix files.  T.mat is written and
 checked as a stream of pieces of a few locator blocks each, so neither
@@ -211,16 +211,24 @@ class DecodeReport:
                      for i, r in enumerate(self.reasons))
 
 
+# Rows of M in decode_blocks' screen.  Rows of density 1/(d+2) kill almost
+# every non-defective column within a few dozen negative rows; at n=1024,
+# 48-96 rows time within 10% of each other and 32 let thousands through.
+_SCREEN_ROWS = 64
+
+
 def decode_blocks(scheme: Scheme, y: BitVector) -> DecodeReport:
-    """Decode a (2k+1)h-bit outcome, deciding every block in one array pass.
+    """Decode a (2k+1)h-bit outcome, deciding all positive blocks at once.
 
     For each positive locator row: recover the OR outcome, cover-decode
-    it (capped at d+1 candidates), and accept the candidate set only if
-    it has exactly u items whose pooled columns reproduce the recovered
-    outcome.  A block's reason is the first that applies of negative,
-    overflow, size, or-mismatch and accepted.  The report keeps those
-    reasons, each accepted block's items and their occurrence counts,
-    whose `at_least(e + 1)` is the set that tolerates e flipped outcomes.
+    it, and accept the candidate set only if it has exactly u items whose
+    pooled columns reproduce the recovered outcome.  The cover decode
+    screens every column on M's first 64 rows, then applies the full rule
+    to the columns that pass in some block.  A block's reason is the
+    first that applies of negative, overflow (sizes > d+1), size,
+    or-mismatch and accepted.  The report keeps those reasons, each
+    accepted block's items and their occurrence counts, whose
+    `at_least(e + 1)` is the set that tolerates e flipped outcomes.
     """
     h, k = scheme.h, scheme.k
     split_outcome(y, h, k)
@@ -229,10 +237,12 @@ def decode_blocks(scheme: Scheme, y: BitVector) -> DecodeReport:
     view = y.to_array().reshape(h, 2 * k + 1)
     positive = np.flatnonzero(view[:, 0])
     yprime = recover_yprime(view[positive, 1 : k + 1], view[positive, k + 1 :])
-    alive = _survivors(ma, yprime)  # (P, n): the cover decode of every positive block
+    head = _survivors(ma[:_SCREEN_ROWS], yprime[:, :_SCREEN_ROWS])  # (P, n)
+    cols = np.flatnonzero(head.any(axis=0))  # the rest are dead in every block
+    alive = _survivors(ma[:, cols], yprime)  # (P, |cols|); cols sorted keeps item order
     sizes = alive.sum(axis=1)
     sized = sizes == u
-    items = np.nonzero(alive[sized])[1].reshape(-1, u)
+    items = cols[np.nonzero(alive[sized])[1]].reshape(-1, u)
     consistent = (ma.T[items].max(axis=1) == yprime[sized]).all(axis=1)
 
     reasons = np.full(h, "negative", dtype="<U11")

@@ -4,6 +4,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tgt import (
     BitMatrix,
@@ -342,6 +344,30 @@ def scheme32():
     return build_scheme(construct_good(params, rng), m, params), cert
 
 
+def decode_matches_reference(scheme, y):
+    """Assert that decode_blocks(scheme, y) equals reference_decode, item
+    order included; return the report and the reference traces."""
+    report = decode_blocks(scheme, y)
+    traces, counts = reference_decode(scheme, y)
+    assert report.traces == traces
+    assert list(report.multiset.counts.items()) == counts
+    assert report.reasons == tuple(trace.reason for trace in traces)
+    assert list(report.accepted.items()) == [(t.block, t.items) for t in traces if t.accepted]
+    return report, traces
+
+
+random_schemes = st.tuples(
+    st.integers(6, 24),  # n
+    st.integers(2, 4),  # d
+    st.one_of(st.integers(1, 63), st.just(64), st.integers(65, 130)),  # k
+    st.floats(0.05, 0.6),  # density of M
+    st.booleans(),  # zero M's first 64 rows
+    st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]),  # noise rate
+    st.sampled_from(["flip", "set"]),  # noise flips bits or sets them to 1
+    st.integers(0, 2**32 - 1),  # seed
+)
+
+
 class TestDecodeReference:
     @pytest.mark.parametrize("which", ["scheme16", "scheme32"])
     def test_matches_block_by_block_reference(self, request, which):
@@ -355,22 +381,53 @@ class TestDecodeReference:
                 x = DefectiveSet(rng.choice(n, size=size, replace=False).tolist()).to_vector(n)
                 y = encode(scheme, x).to_array()
                 y = BitVector(y ^ (rng.random(y.size) < rate))
-                report = decode_blocks(scheme, y)
-                traces, counts = reference_decode(scheme, y)
-                assert report.traces == traces
-                assert list(report.multiset.counts.items()) == counts
-                assert report.reasons == tuple(trace.reason for trace in traces)
-                accepted = [(t.block, t.items) for t in traces if t.accepted]
-                assert list(report.accepted.items()) == accepted
-                if accepted:
+                report, traces = decode_matches_reference(scheme, y)
+                if report.accepted:
                     assert report.status == "ok"
                 elif any(trace.positive for trace in traces):
                     assert report.status == "all-blocks-rejected"
                 else:
                     assert report.status == "no-positive-tests"
-                assert report.defectives == DefectiveSet(j for j, _ in counts)
+                voted = (j for t in traces if t.accepted for j in t.items)
+                assert report.defectives == DefectiveSet(voted)
                 seen.update(trace.reason for trace in traces)
         assert seen == {"negative", "overflow", "size", "or-mismatch", "accepted"}
+
+    @pytest.mark.parametrize("fill", [0, 1])
+    def test_screen_passes_every_column(self, scheme16, fill):
+        """64 constant rows on top of M: a column survives them in every
+        block whose all-ones rows read positive, so the screen passes
+        every column and the finishing pass alone cuts each block down."""
+        scheme, _ = scheme16
+        top = np.full((64, 16), fill, dtype=np.uint8)
+        m = BitMatrix(np.vstack([top, scheme.m.to_array()]))
+        scheme = build_scheme(scheme.g, m, scheme.params)
+        truth = DefectiveSet([2, 6, 11])
+        y = encode(scheme, truth.to_vector(16))
+        report, _ = decode_matches_reference(scheme, y)
+        assert report.multiset.at_least(1) == truth
+        rng = np.random.default_rng(18)
+        for _ in range(30):
+            x = DefectiveSet(rng.choice(16, size=int(rng.integers(0, 5)), replace=False).tolist())
+            y = encode(scheme, x.to_vector(16)).to_array()
+            decode_matches_reference(scheme, BitVector(y ^ (rng.random(y.size) < 0.02)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=random_schemes)
+    def test_random_schemes_match_reference(self, case):
+        n, d, k, density, zero_head, rate, noise, seed = case
+        rng = np.random.default_rng(seed)
+        u = int(rng.integers(2, d + 1))
+        ma = BitMatrix.random(rng, k, n, density).to_array().copy()
+        if zero_head:
+            ma[:64] = 0
+        g = BitMatrix.random(rng, int(rng.integers(1, 9)), n, 0.6)
+        scheme = build_scheme(g, BitMatrix(ma), SchemeParams(n=n, d=d, u=u))
+        x = DefectiveSet(rng.choice(n, size=int(rng.integers(0, d + 2)), replace=False).tolist())
+        y = encode(scheme, x.to_vector(n)).to_array()
+        hits = rng.random(y.size) < rate
+        y = y ^ hits if noise == "flip" else y | hits
+        decode_matches_reference(scheme, BitVector(y))
 
 
 class TestNoTracesBuilt:
