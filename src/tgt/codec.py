@@ -17,9 +17,10 @@ Blocks whose restriction has a different weight are screened out by the
 size and OR-consistency checks; the decoder also keeps per-item
 occurrence counts so that up to e erroneous outcomes can be outvoted (an
 error corrupts at most one block, so a frequency threshold of e+1
-separates true items from fabricated ones).  The stacked positive blocks
-are decoded together by the cover rule, written once in `_survivors`:
-first on M's first rows, then in full on the columns that pass.
+separates true items from fabricated ones).  The distinct recovered
+outcomes of the positive blocks are decoded together by the cover rule,
+written once in `_survivors` (first on M's first rows, then in full on the
+columns that pass), and each decision goes to every block with that outcome.
 
 A bundle stores G, M and T as matrix files.  T.mat is written and
 checked as a stream of pieces of a few locator blocks each, so neither
@@ -212,8 +213,8 @@ class DecodeReport:
 
 
 # Rows of M in decode_blocks' screen.  Rows of density 1/(d+2) kill almost
-# every non-defective column within a few dozen negative rows; at n=1024,
-# 48-96 rows time within 10% of each other and 32 let thousands through.
+# every non-defective column within a few dozen negative rows; over the
+# distinct outcomes at n=1024, 48-128 rows time within 12% of each other.
 _SCREEN_ROWS = 64
 
 
@@ -222,13 +223,16 @@ def decode_blocks(scheme: Scheme, y: BitVector) -> DecodeReport:
 
     For each positive locator row: recover the OR outcome, cover-decode
     it, and accept the candidate set only if it has exactly u items whose
-    pooled columns reproduce the recovered outcome.  The cover decode
-    screens every column on M's first 64 rows, then applies the full rule
-    to the columns that pass in some block.  A block's reason is the
-    first that applies of negative, overflow (sizes > d+1), size,
-    or-mismatch and accepted.  The report keeps those reasons, each
-    accepted block's items and their occurrence counts, whose
-    `at_least(e + 1)` is the set that tolerates e flipped outcomes.
+    pooled columns reproduce the recovered outcome.  This runs once per
+    distinct outcome, which depends only on D ∩ supp(G_i): support D and
+    e flips give at most sum_{s=u..|D|} C(|D|, s) + e (random outcomes are
+    all distinct).  The cover decode screens every column on M's first
+    64 rows, then applies the full rule to the columns that pass for some
+    outcome.  A block's reason is the first that applies of negative,
+    overflow (sizes > d+1), size, or-mismatch and accepted.  The report
+    keeps those reasons, each accepted block's items and their occurrence
+    counts, whose `at_least(e + 1)` is the set that tolerates e flipped
+    outcomes.
     """
     h, k = scheme.h, scheme.k
     split_outcome(y, h, k)
@@ -237,18 +241,25 @@ def decode_blocks(scheme: Scheme, y: BitVector) -> DecodeReport:
     view = y.to_array().reshape(h, 2 * k + 1)
     positive = np.flatnonzero(view[:, 0])
     yprime = recover_yprime(view[positive, 1 : k + 1], view[positive, k + 1 :])
-    head = _survivors(ma[:_SCREEN_ROWS], yprime[:, :_SCREEN_ROWS])  # (P, n)
+    # One void per outcome: np.unique(axis=0) on the rows is over ten times slower.
+    rows = np.packbits(yprime, axis=1).view(f"V{(k + 7) // 8}").ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    distinct = yprime[first]  # (U, k); block b of `positive` has row inverse[b]
+    head = _survivors(ma[:_SCREEN_ROWS], distinct[:, :_SCREEN_ROWS])  # (U, n)
     cols = np.flatnonzero(head.any(axis=0))  # the rest are dead in every block
-    alive = _survivors(ma[:, cols], yprime)  # (P, |cols|); cols sorted keeps item order
+    alive = _survivors(sub := ma[:, cols], distinct)  # (U, |cols|), in item order
     sizes = alive.sum(axis=1)
     sized = sizes == u
-    items = cols[np.nonzero(alive[sized])[1]].reshape(-1, u)
-    consistent = (ma.T[items].max(axis=1) == yprime[sized]).all(axis=1)
+    picks = np.nonzero(alive[sized])[1].reshape(-1, u)
+    consistent = (sub[:, picks].max(axis=2).T == distinct[sized]).all(axis=1)
 
+    decided = np.where(sizes > scheme.params.d + 1, "overflow", "size").astype("<U11")
+    decided[sized] = np.where(consistent, "accepted", "or-mismatch")
     reasons = np.full(h, "negative", dtype="<U11")
-    reasons[positive] = np.where(sizes > scheme.params.d + 1, "overflow", "size")
-    reasons[positive[sized]] = np.where(consistent, "accepted", "or-mismatch")
-    accepted, items = positive[sized][consistent], items[consistent]
+    reasons[positive] = decided[inverse]
+    taken = (decided == "accepted")[inverse]
+    rank = np.cumsum(sized) - 1  # row of each sized distinct outcome in picks
+    accepted, items = positive[taken], cols[picks[rank[inverse[taken]]]]
     votes = np.bincount(items.ravel(), minlength=scheme.params.n)
     voted = np.flatnonzero(votes)
     multiset = CandidateMultiset(dict(zip(voted.tolist(), votes[voted].tolist())))

@@ -10,7 +10,7 @@ correct at desk scale.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from itertools import chain, combinations, islice
 
 import numpy as np
@@ -27,7 +27,6 @@ class ConsistencySet:
     """Candidate sets whose simulated outcome is within the budget."""
 
     candidates: tuple[DefectiveSet, ...]
-    budget: InitVar[int] = 0  # the caller's own budget; accepted, not stored
 
     def __len__(self) -> int:
         return len(self.candidates)

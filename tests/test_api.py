@@ -37,5 +37,5 @@ def test_benchmark_read_attributes_exist():
     truth = DefectiveSet([0, 2])
     (trace,) = decode_blocks(scheme, encode(scheme, truth.to_vector(4))).traces
     assert (trace.reason, trace.accepted) == ("accepted", True)
-    found = ConsistencySet((truth,), 0)
+    found = ConsistencySet((truth,))
     assert truth in found and found.is_singleton()

@@ -362,6 +362,7 @@ random_schemes = st.tuples(
     st.one_of(st.integers(1, 63), st.just(64), st.integers(65, 130)),  # k
     st.floats(0.05, 0.6),  # density of M
     st.booleans(),  # zero M's first 64 rows
+    st.one_of(st.integers(1, 8), st.integers(9, 80)),  # h: tall G repeats outcomes
     st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]),  # noise rate
     st.sampled_from(["flip", "set"]),  # noise flips bits or sets them to 1
     st.integers(0, 2**32 - 1),  # seed
@@ -412,16 +413,64 @@ class TestDecodeReference:
             y = encode(scheme, x.to_vector(16)).to_array()
             decode_matches_reference(scheme, BitVector(y ^ (rng.random(y.size) < 0.02)))
 
+    def test_repeated_locator_rows(self, scheme16, monkeypatch):
+        """64 locator rows drawn from 4: copies of a row share one recovered
+        outcome, the cover rule runs once per distinct outcome, and a flip
+        in one copy's y-block splits that copy off from the others."""
+        scheme, _ = scheme16
+        k = scheme.k
+        rows_seen = []
+        survivors = codec._survivors
+        monkeypatch.setattr(codec, "_survivors",
+                            lambda ma, yp: rows_seen.append(len(yp)) or survivors(ma, yp))
+        rng = np.random.default_rng(19)
+        split = 0
+        for _ in range(40):
+            base = BitMatrix.random(rng, 4, 16, 0.6).to_array()
+            tall = build_scheme(BitMatrix(base[rng.integers(0, 4, size=64)]), scheme.m, scheme.params)
+            x = DefectiveSet(rng.choice(16, size=int(rng.integers(2, 5)), replace=False).tolist())
+            y = encode(tall, x.to_vector(16)).to_array().copy()
+            view = y.reshape(64, 2 * k + 1)  # writes through to y
+            positive = np.flatnonzero(view[:, 0])
+            yprime = recover_yprime(view[positive, 1 : k + 1], view[positive, k + 1 :])
+            clean = len(np.unique(yprime, axis=0))
+            flips = rng.permutation(positive[~yprime.all(axis=1)])[: rng.integers(1, 4)]
+            for i in flips:  # turn a 0 of the block's recovered outcome into a 1
+                before = recover_yprime(view[i, 1 : k + 1], view[i, k + 1 :])
+                view[i, 1 + rng.choice(np.flatnonzero(before == 0))] = 1
+            yprime = recover_yprime(view[positive, 1 : k + 1], view[positive, k + 1 :])
+            distinct = len(np.unique(yprime, axis=0))
+            split += distinct == clean + len(flips) > clean
+            rows_seen.clear()
+            decode_blocks(tall, BitVector(y))
+            assert rows_seen == [distinct, distinct] and distinct <= 4 + len(flips)
+            decode_matches_reference(tall, BitVector(y))
+        assert split >= 20
+
+    def test_all_distinct_outcomes(self, scheme16):
+        """Random outcomes on 64 blocks: no two positive blocks agree."""
+        scheme, _ = scheme16
+        k = scheme.k
+        rng = np.random.default_rng(20)
+        tall = build_scheme(BitMatrix.random(rng, 64, 16, 0.6), scheme.m, scheme.params)
+        for rate in (0.3, 0.5, 0.9):
+            y = (rng.random(tall.tests) < rate).astype(np.uint8)
+            view = y.reshape(64, 2 * k + 1)
+            positive = np.flatnonzero(view[:, 0])
+            yprime = recover_yprime(view[positive, 1 : k + 1], view[positive, k + 1 :])
+            assert len(np.unique(yprime, axis=0)) == len(positive) > 1
+            decode_matches_reference(tall, BitVector(y))
+
     @settings(max_examples=150, deadline=None)
     @given(case=random_schemes)
     def test_random_schemes_match_reference(self, case):
-        n, d, k, density, zero_head, rate, noise, seed = case
+        n, d, k, density, zero_head, h, rate, noise, seed = case
         rng = np.random.default_rng(seed)
         u = int(rng.integers(2, d + 1))
         ma = BitMatrix.random(rng, k, n, density).to_array().copy()
         if zero_head:
             ma[:64] = 0
-        g = BitMatrix.random(rng, int(rng.integers(1, 9)), n, 0.6)
+        g = BitMatrix.random(rng, h, n, 0.6)
         scheme = build_scheme(g, BitMatrix(ma), SchemeParams(n=n, d=d, u=u))
         x = DefectiveSet(rng.choice(n, size=int(rng.integers(0, d + 2)), replace=False).tolist())
         y = encode(scheme, x.to_vector(n)).to_array()
