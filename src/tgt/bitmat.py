@@ -8,10 +8,10 @@ share one immutable 0/1-array base, `pack_rows` is the one packer,
 `payload_bytes` the one padded payload size, and one reader parses the
 headers of matrix and vector files.
 
-Index convention: everything in memory is 0-based.  Conversion to the
-1-based item and test numbering used in files, reports, and CLI output
-happens only at serialization boundaries (see ``DefectiveSet.to_one_based``
-and the writers in this module).
+Index convention: everything in memory is 0-based.  Item and test indices
+are 1-based in reports and CLI output: ``DefectiveSet.to_one_based`` converts,
+and ``DisjunctCertificate.to_json``, ``cli.cmd_verify``, ``cli.run_trials``
+and ``cli.cmd_decode`` add 1 by hand.
 """
 
 from __future__ import annotations

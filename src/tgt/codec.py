@@ -22,9 +22,11 @@ outcomes of the positive blocks are decoded together by the cover rule,
 written once in `_survivors` (first on M's first rows, then in full on the
 columns that pass), and each decision goes to every block with that outcome.
 
-A bundle stores G, M and T as matrix files.  T.mat is written and
-checked as a stream of pieces of a few locator blocks each, so neither
-saving nor loading a bundle holds the whole file in memory.
+A bundle is the files of `_bundle_files`: G.mat, M.mat, T.mat and the
+scheme.json manifest, each a function of G, M, the parameters, seed, c,
+c_g and the two certificates.  Saving writes them and loading accepts
+exactly them, byte for byte.  T.mat is written and checked as a stream of
+pieces of a few locator blocks each, so neither holds the whole file.
 """
 
 from __future__ import annotations
@@ -288,10 +290,6 @@ def adversarial_flip_positions(scheme: Scheme, x: BitVector, e: int) -> tuple[in
 # --- scheme bundles --------------------------------------------------------
 
 
-def _header_params(params: SchemeParams, seed: int, c: float, c_g: float) -> dict:
-    return {"d": params.d, "u": params.u, "e": params.e, "seed": seed, "c": c, "c_g": c_g}
-
-
 # Payload bytes per T.mat piece, rounded down to whole 3-byte base64 groups.
 # 48 KiB keeps each piece's buffers in cache and below glibc's smallest mmap
 # threshold (128 KiB), so every piece reuses heap memory instead of faulting
@@ -334,6 +332,26 @@ def _t_pieces(scheme: Scheme, header: dict):
     yield b"\n"
 
 
+def _bundle_files(scheme: Scheme, seed, c, c_g, m_certificate, g_validation) -> list:
+    """Every file of a bundle as (name, byte pieces), in write order.
+
+    G.mat and M.mat carry the parameters in their headers, T.mat is derived
+    from G and M a piece at a time, and scheme.json comes last, so a bundle
+    whose writing stopped early lacks its manifest.
+    """
+    params = scheme.params
+    header = {"d": params.d, "u": params.u, "e": params.e, "seed": seed, "c": c, "c_g": c_g}
+    manifest = {"format": "tgt-scheme-v1", **asdict(params), **header, "h": scheme.h,
+                "k": scheme.k, "t": scheme.tests, "m_certificate": m_certificate,
+                "g_validation": g_validation}
+    return [
+        ("G.mat", [serialize_matrix(scheme.g, "good", header)]),
+        ("M.mat", [serialize_matrix(scheme.m, "disjunct", header)]),
+        ("T.mat", _t_pieces(scheme, header)),
+        ("scheme.json", [json.dumps(manifest, sort_keys=True, indent=2).encode() + b"\n"]),
+    ]
+
+
 def read_file(path: str | Path) -> bytes:
     """The bytes of a file; a missing or unreadable file is a ParseError."""
     try:
@@ -358,52 +376,30 @@ def _manifest_params(manifest, directory: Path) -> SchemeParams:
     return SchemeParams(**values)
 
 
-def save_bundle(
-    directory: str | Path,
-    scheme: Scheme,
-    seed: int,
-    c: float,
-    c_g: float,
-    m_certificate: dict,
-    g_validation: dict,
-) -> None:
-    """Write G.mat / M.mat / T.mat plus a scheme.json manifest.
+def save_bundle(directory: str | Path, scheme: Scheme, seed: int, c: float, c_g: float,
+                m_certificate: dict, g_validation: dict) -> None:
+    """Write the files of `_bundle_files`: G.mat, M.mat, T.mat, scheme.json.
 
     Output is byte-reproducible: params serialize with sorted keys and
     nothing time- or host-dependent is recorded.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    header = _header_params(scheme.params, seed, c, c_g)
-    (directory / "G.mat").write_bytes(serialize_matrix(scheme.g, "good", header))
-    (directory / "M.mat").write_bytes(serialize_matrix(scheme.m, "disjunct", header))
     # Gather the small pieces into 1 MiB writes: one system call per piece
     # costs more than copying it.
-    with open(directory / "T.mat", "wb", buffering=1 << 20) as fh:
-        fh.writelines(_t_pieces(scheme, header))
-    manifest = {
-        "format": "tgt-scheme-v1",
-        **asdict(scheme.params),
-        **header,
-        "h": scheme.h,
-        "k": scheme.k,
-        "t": scheme.tests,
-        "m_certificate": m_certificate,
-        "g_validation": g_validation,
-    }
-    (directory / "scheme.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    )
+    for name, pieces in _bundle_files(scheme, seed, c, c_g, m_certificate, g_validation):
+        with open(directory / name, "wb", buffering=1 << 20) as fh:
+            fh.writelines(pieces)
 
 
 def load_bundle(directory: str | Path) -> tuple[Scheme, dict]:
     """Rebuild a scheme from a bundle directory.
 
-    The manifest's h, k and t must match G and M, and the headers of
-    G.mat and M.mat must carry the manifest's parameters.  T.mat must
-    equal, byte for byte, the file save_bundle would write for the stored
-    G and M.  The check reads T.mat piece by piece against `_t_pieces`, so
-    neither copy of the file is ever whole in memory.
+    The bundle is valid only when each of its files is, byte for byte and
+    up to its end, the file save_bundle writes for the stored G, M and the
+    manifest's parameters, seed, c, c_g and certificates.  Files are read
+    piece by piece against `_bundle_files`, so neither copy of T.mat is
+    ever whole in memory.
     """
     directory = Path(directory)
     try:
@@ -411,24 +407,16 @@ def load_bundle(directory: str | Path) -> tuple[Scheme, dict]:
     except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ParseError(f"cannot read scheme manifest in {directory}: {exc}") from exc
     params = _manifest_params(manifest, directory)
-    g, kind_g, header_g = load_matrix(read_file(directory / "G.mat"))
-    m, kind_m, header_m = load_matrix(read_file(directory / "M.mat"))
-    if kind_g != "good" or kind_m != "disjunct":
-        raise ParseError(f"unexpected matrix kinds {kind_g!r}/{kind_m!r} in bundle")
+    g, m = (load_matrix(read_file(directory / name))[0] for name in ("G.mat", "M.mat"))
     scheme = Scheme(params, g, m)
-    for key, value in (("h", scheme.h), ("k", scheme.k), ("t", scheme.tests)):
-        if manifest.get(key) != value:
-            raise ParseError(f"manifest says {key}={manifest.get(key)!r}, G and M give {value}")
-    header = _header_params(params, *(manifest.get(key) for key in ("seed", "c", "c_g")))
-    for name, stored in (("G.mat", header_g), ("M.mat", header_m)):
-        if stored != header:
-            raise ParseError(f"{name} header params {stored} do not match the manifest's {header}")
+    stored = (manifest.get(key) for key in ("seed", "c", "c_g", "m_certificate", "g_validation"))
     try:
-        with open(directory / "T.mat", "rb") as fh:
-            intact = all(fh.read(len(piece)) == piece for piece in _t_pieces(scheme, header))
-            intact = intact and not fh.read(1)
-    except OSError as exc:
-        raise ParseError(f"cannot read {directory / 'T.mat'}: {exc}") from exc
-    if not intact:
-        raise ParseError("stored final matrix does not match G and M")
+        for name, pieces in _bundle_files(scheme, *stored):
+            with open(directory / name, "rb") as fh:
+                intact = all(fh.read(len(piece)) == piece for piece in pieces) and not fh.read(1)
+            if not intact:
+                raise ParseError(f"{directory / name} does not match the file save_bundle "
+                                 "writes for this G, M and manifest")
+    except (OSError, RecursionError) as exc:  # RecursionError: values too deep to write back
+        raise ParseError(f"cannot check the bundle in {directory}: {exc}") from exc
     return scheme, manifest

@@ -69,10 +69,20 @@ def _check_at_least(name: str, value: int, low: int) -> None:
         raise ParameterError(f"{name} must be at least {low}, got {value}")
 
 
+def _drawable_rows(rows: float, n: int) -> int:
+    """ceil(rows), once a candidate's (rows, n) float64 draw is known to fit
+    in physical memory; BudgetError, before anything is allocated, if not."""
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if math.isfinite(rows) and 8 * math.ceil(rows) * n <= memory:
+        return math.ceil(rows)
+    raise BudgetError(f"a {rows:.4g} x {n} float64 candidate draw does not fit in "
+                      f"the {memory} bytes of physical memory")
+
+
 def disjunct_row_count(n: int, d: int, c: float = 3.0) -> int:
     """Rows for a random (d+1)-disjunct candidate on n columns."""
     _check_scale("c", c)
-    return math.ceil(c * (d + 2) ** 2 * math.log(n))
+    return _drawable_rows(c * (d + 2) ** 2 * math.log(n), n)
 
 
 def good_row_count(params: SchemeParams, c_g: float = 2.0) -> int:
@@ -83,8 +93,8 @@ def good_row_count(params: SchemeParams, c_g: float = 2.0) -> int:
     """
     _check_scale("c_g", c_g)
     d0 = params.d0
-    h = math.ceil(c_g * d0 * d0 * math.log(params.n / d0) / (1.0 - params.p) ** 2)
-    return max(h, params.d - params.u + 1)
+    h = c_g * d0 * d0 * math.log(params.n / d0) / (1.0 - params.p) ** 2
+    return _drawable_rows(max(h, params.d - params.u + 1), params.n)
 
 
 @dataclass(frozen=True)

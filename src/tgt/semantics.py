@@ -2,8 +2,9 @@
 
 A pool (one matrix row) is positive at threshold ``u`` when it contains
 at least ``u`` defective items; the boolean-OR operator is threshold 1.
-`apply_threshold` is the ground truth the whole simulation is built on;
-everything else is bookkeeping around it.
+`apply_threshold` applies it to every row of a matrix.  No pipeline path
+calls it: `codec.encode` counts T's pools from G and M, and the tests
+check that against `apply_threshold` on the dense T.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import json
 import shutil
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -326,7 +327,7 @@ class TestMalformedInput:
         code = main(["encode", "--bundle", str(copy),
                      "--defectives", "2,9", "--out", str(tmp_path / "y.vec")])
         assert code == 2
-        assert "unexpected matrix kinds" in capsys.readouterr().err
+        assert "G.mat does not match" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["G.mat", "M.mat"])
     def test_matrix_with_appended_lines(self, bundle, tmp_path, capsys, name):
@@ -338,6 +339,24 @@ class TestMalformedInput:
             fh.write(b"garbage\nmore")
         assert main(["decode", "--bundle", str(copy), "--y", str(y_path)]) == 2
         assert "content after its payload line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, edit", [
+        ("scheme.json", lambda data: json.dumps(json.loads(data), sort_keys=True).encode()),
+        ("scheme.json", lambda data: json.dumps({**json.loads(data), "solver": "random"},
+                                                sort_keys=True, indent=2).encode() + b"\n"),
+        ("G.mat", lambda data: data + b"\n"),
+        ("M.mat", lambda data: data + b"\n"),
+    ], ids=["manifest-without-indent", "manifest-extra-key", "G-newline", "M-newline"])
+    def test_bundle_files_differ_from_what_save_bundle_writes(
+        self, bundle, tmp_path, capsys, name, edit
+    ):
+        y_path = tmp_path / "y.vec"
+        run(capsys, "encode", "--bundle", str(bundle), "--defectives", "2,9", "--out", str(y_path))
+        copy = tmp_path / "b"
+        shutil.copytree(bundle, copy)
+        (copy / name).write_bytes(edit((copy / name).read_bytes()))
+        assert main(["decode", "--bundle", str(copy), "--y", str(y_path)]) == 2
+        assert f"{name} does not match" in capsys.readouterr().err
 
     def test_encode_missing_item_vector(self, bundle, tmp_path, capsys):
         code, _ = run(capsys, "encode", "--bundle", str(bundle),
@@ -400,6 +419,26 @@ class TestMalformedInput:
         assert main(["verify", str(m_path), "--d", "2"]) == 2
         assert "params field is not valid JSON" in capsys.readouterr().err
 
+    def test_manifest_too_deep_to_write_back(self, bundle, tmp_path, capsys):
+        """A seed nested just short of what the JSON reader accepts can be too
+        deep to write back into the G.mat header that load_bundle compares:
+        from the reader's limit down, every depth exits 2 without a traceback
+        until the header is written and found to differ."""
+        copy = tmp_path / "b"
+        shutil.copytree(bundle, copy)
+        text = (bundle / "scheme.json").read_text()
+        assert '"seed": 7,' in text
+        errors = []
+        for depth in range(1000, 0, -1):
+            deep = "[" * depth + "]" * depth
+            (copy / "scheme.json").write_text(text.replace('"seed": 7,', f'"seed": {deep},'))
+            assert main(["encode", "--bundle", str(copy), "--defectives", "2,9",
+                         "--out", str(tmp_path / "y.vec")]) == 2
+            errors.append(capsys.readouterr().err)
+            if "G.mat does not match" in errors[-1]:
+                break
+        assert all(err.startswith("error:") for err in errors)
+
     def test_m_header_disagrees_with_manifest(self, bundle, tmp_path, capsys):
         copy = tmp_path / "b"
         shutil.copytree(bundle, copy)
@@ -424,6 +463,26 @@ class TestMalformedInput:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "unused").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--p", "0.9999999999"), ("--c-g", "1e300"), ("--c", "1e308"), ("--c-g", "1e308"),
+        ("--c", "1e300"), ("--n", "99999999999999"),
+    ])
+    def test_oversized_draw_is_a_budget_error(self, tmp_path, capsys, flag, value):
+        """A candidate whose row count is not finite, or whose float64 draw
+        exceeds physical memory, exits 5 before it is drawn."""
+        argv = {"--n": "16", "--d": "3", "--u": "2", flag: value, "--out": str(tmp_path / "b")}
+        tracemalloc.start()
+        try:
+            code = main(["gen", *(token for pair in argv.items() for token in pair)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("budget exceeded:") and "Traceback" not in err
+        assert peak < 1 << 24
+        assert not (tmp_path / "b").exists()
 
     def test_negative_threshold_budget(self, bundle, tmp_path, capsys):
         code = main(["verify", str(bundle / "G.mat"), "--check", "threshold", "--d", "3",

@@ -1,6 +1,8 @@
 import json
+import tempfile
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -667,6 +669,38 @@ class TestBundles:
         assert loaded.g == scheme.g and loaded.m == scheme.m
         assert save_peak < size / 4
         assert load_peak < size / 4
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_random_bundle_round_trip(self, data):
+        """load_bundle gives back what save_bundle got, and saving that again
+        writes the same bytes: certificates may nest, and p, c, c_g are floats."""
+        n = data.draw(st.integers(4, 12))
+        d = data.draw(st.integers(2, n - 1))
+        params = SchemeParams(n=n, d=d, u=data.draw(st.integers(2, d)),
+                              e=data.draw(st.integers(0, 3)),
+                              p=data.draw(st.floats(0, 1, exclude_max=True)))
+        bits = st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=5)
+        scheme = Scheme(params, BitMatrix(data.draw(bits)), BitMatrix(data.draw(bits)))
+        scale = st.floats(1e-3, 1e3)
+        leaves = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text()
+        nested = st.dictionaries(st.text(), st.recursive(
+            leaves, lambda kids: st.lists(kids) | st.dictionaries(st.text(), kids), max_leaves=8))
+        args = (data.draw(st.integers(0, 2**32)), data.draw(scale), data.draw(scale),
+                data.draw(nested), data.draw(nested))
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first", Path(tmp) / "second"
+            save_bundle(first, scheme, *args)
+            loaded, manifest = load_bundle(first)
+            assert loaded.params == params and loaded.g == scheme.g and loaded.m == scheme.m
+            stored = tuple(manifest[key]
+                           for key in ("seed", "c", "c_g", "m_certificate", "g_validation"))
+            assert stored == args
+            assert (manifest["h"], manifest["k"], manifest["t"]) == (
+                scheme.h, scheme.k, scheme.tests)
+            save_bundle(second, loaded, *stored)
+            for name in ("G.mat", "M.mat", "T.mat", "scheme.json"):
+                assert (second / name).read_bytes() == (first / name).read_bytes()
 
     def test_bad_manifest(self, tmp_path):
         (tmp_path / "scheme.json").write_text("{not json")
