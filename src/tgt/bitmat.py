@@ -41,26 +41,6 @@ def payload_bytes(nbits: int) -> int:
     return -(-nbits // 64) * 8
 
 
-def packed_stream(rows: np.ndarray, cols: int, size: int | None = None) -> np.ndarray:
-    """Join rows made by `pack_rows` into the flat uint8 file payload.
-
-    Bit i of the row-major stream lives in byte i//8 at position i%8,
-    which is the same layout for any word size with little-endian byte
-    order.  The payload is zero-padded to `size` bytes, by default the
-    `payload_bytes` of its bits.  When cols is not a multiple of 8, the
-    zero bits that end each packed row are squeezed out by unpacking and
-    packing again.
-    """
-    if cols % 8 and rows.ndim > 1:
-        bits = np.unpackbits(rows, axis=-1, count=cols, bitorder="little")
-        rows = np.packbits(bits, bitorder="little")
-    flat = rows.reshape(-1)
-    size = payload_bytes(8 * flat.size) if size is None else size
-    if flat.size < size:
-        flat = np.concatenate([flat, np.zeros(size - flat.size, dtype=np.uint8)])
-    return flat
-
-
 class _Bits:
     """Immutable nonempty 0/1 array with `_ndim` dimensions, compared and
     hashed by shape and bits."""
@@ -95,7 +75,10 @@ class _Bits:
         return self._a
 
     def packed(self) -> bytes:
-        return packed_stream(pack_rows(self._a), self._a.shape[-1]).tobytes()
+        """The file payload: bit i of the row-major bit stream in byte i//8
+        at position i%8, zero-padded to whole 64-bit words."""
+        flat = pack_rows(self._a.reshape(-1))
+        return flat.tobytes() + bytes(payload_bytes(self._a.size) - flat.size)
 
     def __eq__(self, other) -> bool:
         return (
@@ -217,7 +200,7 @@ class DefectiveSet:
 # Matrix files:  TGTMAT v1 rows=<r> cols=<c> kind=<k> params=<json>\n<base64>\n
 # Vector files:  TGTVEC v1 len=<n>\n<base64>\n
 #
-# The payload is the packed bit stream described in packed_stream.
+# The payload is the packed bit stream described in `_Bits.packed`.
 
 
 def _dump_params(params: dict | None) -> str:
@@ -228,18 +211,12 @@ def _file(header: str, payload: bytes | np.ndarray) -> bytes:
     return b"".join([header.encode("ascii"), b"\n", base64.b64encode(payload), b"\n"])
 
 
-def matrix_header(rows: int, cols: int, kind: str = "final", params: dict | None = None) -> str:
-    """The first line of a matrix file, without its newline."""
+def serialize_matrix(m: BitMatrix, kind: str = "final", params: dict | None = None) -> bytes:
     if kind not in MATRIX_KINDS:
         raise ValueError(f"kind must be one of {MATRIX_KINDS}, got {kind!r}")
-    return (
-        f"{_MAGIC_MAT} {_VERSION} rows={rows} cols={cols} "
-        f"kind={kind} params={_dump_params(params)}"
-    )
-
-
-def serialize_matrix(m: BitMatrix, kind: str = "final", params: dict | None = None) -> bytes:
-    return _file(matrix_header(m.rows, m.cols, kind, params), m.packed())
+    header = (f"{_MAGIC_MAT} {_VERSION} rows={m.rows} cols={m.cols} "
+              f"kind={kind} params={_dump_params(params)}")
+    return _file(header, m.packed())
 
 
 def _parse_field(token: str, name: str) -> str:

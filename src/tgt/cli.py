@@ -1,8 +1,9 @@
 """Command-line front end: generation, verification, and experiment harness.
 
-Subcommands: gen, verify, encode, decode, simulate, bench.  Exit codes:
-0 success, 2 usage or malformed input, 3 construction failure,
-4 verification failure, 5 work budget exceeded.
+Subcommands: gen, verify, encode, decode, export-t, simulate, bench.
+Exit codes: 0 success, 2 usage or malformed input, 3 construction
+failure, 4 verification failure (also a bundle whose stored certificate
+or validation did not pass), 5 work budget exceeded.
 
 Reproducibility contract: everything a subcommand writes is a pure
 function of its arguments and seed.  Timings are therefore confined to
@@ -21,8 +22,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .bitmat import DefectiveSet, deserialize_vector, load_matrix, serialize_vector
+from .bitmat import (
+    DefectiveSet,
+    deserialize_vector,
+    load_matrix,
+    serialize_matrix,
+    serialize_vector,
+)
 from .codec import (
+    MATRIX_HEADER_KEYS,
     Scheme,
     adversarial_flip_positions,
     decode_blocks,
@@ -276,6 +284,16 @@ def cmd_decode(args) -> int:
     return 0
 
 
+def cmd_export_t(args) -> int:
+    """Write the bundle's dense test matrix T, with G.mat's header values."""
+    scheme, manifest = load_bundle(args.bundle)
+    header = {key: manifest[key] for key in MATRIX_HEADER_KEYS}
+    Path(args.out).write_bytes(serialize_matrix(scheme.t, "final", header))
+    print(json.dumps({"out": args.out, "rows": scheme.tests, "cols": scheme.params.n},
+                     sort_keys=True))
+    return 0
+
+
 def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise ParameterError(f"need at least one trial, got {args.trials}")
@@ -420,6 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--e", type=int, default=None)
     dec.add_argument("--out")
     dec.set_defaults(func=cmd_decode)
+
+    export_t = subs.add_parser("export-t", help="write a bundle's test matrix T as T.mat")
+    export_t.add_argument("--bundle", required=True)
+    export_t.add_argument("--out", required=True, help="matrix file to write")
+    export_t.set_defaults(func=cmd_export_t)
 
     sim = subs.add_parser("simulate", help="randomized encode/flip/decode trials")
     _add_scheme_flags(sim, trials_default=100)

@@ -22,35 +22,26 @@ outcomes of the positive blocks are decoded together by the cover rule,
 written once in `_survivors` (first on M's first rows, then in full on the
 columns that pass), and each decision goes to every block with that outcome.
 
-A bundle is the files of `_bundle_files`: G.mat, M.mat, T.mat and the
+A bundle is the files of `_bundle_files`: G.mat, M.mat and the
 scheme.json manifest, each a function of G, M, the parameters, seed, c,
-c_g and the two certificates.  Saving writes them and loading accepts
-exactly them, byte for byte.  T.mat is written and checked as a stream of
-pieces of a few locator blocks each, so neither holds the whole file.
+c_g and the two certificates; the manifest also records the SHA-256 of
+G.mat and M.mat.  Saving writes them and loading accepts exactly them,
+byte for byte, and only with both certificates passed.  T is not stored:
+`Scheme.t` builds it, and `tgt export-t` writes it as a matrix file.
 """
 
 from __future__ import annotations
 
-import base64
+import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .bitmat import (
-    BitMatrix,
-    BitVector,
-    DefectiveSet,
-    load_matrix,
-    matrix_header,
-    pack_rows,
-    packed_stream,
-    payload_bytes,
-    serialize_matrix,
-)
-from .errors import DimensionError, ParameterError, ParseError
+from .bitmat import BitMatrix, BitVector, DefectiveSet, load_matrix, serialize_matrix
+from .constructions import check_memory
+from .errors import DimensionError, ParameterError, ParseError, VerificationError
 from .semantics import SchemeParams
 
 
@@ -82,7 +73,11 @@ class Scheme:
 
     @property
     def t(self) -> BitMatrix:
-        """The dense (2k+1)h x n test matrix, built anew on every access."""
+        """The dense (2k+1)h x n test matrix, built anew on every access.
+        Building it, BitMatrix's 0/1 check included, peaks at 3 bytes per
+        entry; BudgetError, before anything is allocated, when that exceeds
+        physical memory."""
+        check_memory(3 * self.tests * self.params.n, f"a dense {self.tests} x {self.params.n} T")
         blocks = self.g.to_array()[:, None, :] & _block_pattern(self.m.to_array())[None]
         return BitMatrix(blocks.reshape(self.tests, self.params.n))
 
@@ -290,66 +285,27 @@ def adversarial_flip_positions(scheme: Scheme, x: BitVector, e: int) -> tuple[in
 # --- scheme bundles --------------------------------------------------------
 
 
-# Payload bytes per T.mat piece, rounded down to whole 3-byte base64 groups.
-# 48 KiB keeps each piece's buffers in cache and below glibc's smallest mmap
-# threshold (128 KiB), so every piece reuses heap memory instead of faulting
-# in fresh pages, whatever the process allocated before.
-_PIECE_BYTES = 3 << 14
-
-
-def _t_pieces(scheme: Scheme, header: dict):
-    """Yield T.mat as byte strings: the header line, the base64 of the
-    payload a piece at a time, then the closing newline.
-
-    Packed T row (i, r) is packed G_i AND packed row r of [1; M; complement(M)],
-    so no piece needs T.  The AND fills one reused buffer a group of locator
-    blocks at a time.  Every group but the last, and every piece but the
-    last, holds a whole number of bytes and of 3-byte base64 groups, so the
-    pieces join to the base64 of the whole payload; the zero padding to
-    64-bit words ends the last group.
-    """
-    n, h = scheme.params.n, scheme.h
-    g = pack_rows(scheme.g.to_array())
-    pattern = pack_rows(_block_pattern(scheme.m.to_array()))
-    row_bytes = g.shape[1]
-    # AND whole words at a time: numpy is slow on many short byte rows.
-    word = np.dtype(f"u{math.gcd(row_bytes, 8)}")
-    g, pattern = g.view(word), pattern.view(word)
-    block_bits = pattern.shape[0] * n
-    unit = 24 // math.gcd(block_bits, 24)  # fewest blocks that fill whole 3-byte groups
-    step = unit * max(1, _PIECE_BYTES * 8 // (unit * block_bits))
-    piece = max(3, _PIECE_BYTES - _PIECE_BYTES % 3)
-    size = payload_bytes(scheme.tests * n)
-    yield matrix_header(scheme.tests, n, "final", header).encode("ascii") + b"\n"
-    rows = np.empty((step, *pattern.shape), dtype=word)
-    for start in range(0, h, step):
-        stop = min(start + step, h)
-        group = np.bitwise_and(g[start:stop, None, :], pattern[None], out=rows[: stop - start])
-        length = (size if stop == h else stop * block_bits // 8) - start * block_bits // 8
-        payload = packed_stream(group.view(np.uint8).reshape(-1, row_bytes), n, length)
-        for at in range(0, length, piece):
-            yield base64.b64encode(payload[at : min(at + piece, length)])
-    yield b"\n"
+_FORMAT = "tgt-scheme-v2"
+# The manifest values that every matrix file of a bundle carries in its header.
+MATRIX_HEADER_KEYS = ("d", "u", "e", "seed", "c", "c_g")
 
 
 def _bundle_files(scheme: Scheme, seed, c, c_g, m_certificate, g_validation) -> list:
-    """Every file of a bundle as (name, byte pieces), in write order.
+    """Every file of a bundle as (name, bytes), in write order.
 
-    G.mat and M.mat carry the parameters in their headers, T.mat is derived
-    from G and M a piece at a time, and scheme.json comes last, so a bundle
-    whose writing stopped early lacks its manifest.
+    G.mat and M.mat carry the parameters in their headers, and scheme.json,
+    which records their SHA-256, comes last, so a bundle whose writing
+    stopped early lacks its manifest.
     """
-    params = scheme.params
-    header = {"d": params.d, "u": params.u, "e": params.e, "seed": seed, "c": c, "c_g": c_g}
-    manifest = {"format": "tgt-scheme-v1", **asdict(params), **header, "h": scheme.h,
-                "k": scheme.k, "t": scheme.tests, "m_certificate": m_certificate,
-                "g_validation": g_validation}
-    return [
-        ("G.mat", [serialize_matrix(scheme.g, "good", header)]),
-        ("M.mat", [serialize_matrix(scheme.m, "disjunct", header)]),
-        ("T.mat", _t_pieces(scheme, header)),
-        ("scheme.json", [json.dumps(manifest, sort_keys=True, indent=2).encode() + b"\n"]),
-    ]
+    values = {**asdict(scheme.params), "seed": seed, "c": c, "c_g": c_g}
+    header = {key: values[key] for key in MATRIX_HEADER_KEYS}
+    files = [("G.mat", serialize_matrix(scheme.g, "good", header)),
+             ("M.mat", serialize_matrix(scheme.m, "disjunct", header))]
+    manifest = {"format": _FORMAT, **values, "h": scheme.h, "k": scheme.k, "t": scheme.tests,
+                "m_certificate": m_certificate, "g_validation": g_validation,
+                "sha256": {name: hashlib.sha256(data).hexdigest() for name, data in files}}
+    text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+    return [*files, ("scheme.json", text.encode())]
 
 
 def read_file(path: str | Path) -> bytes:
@@ -363,10 +319,16 @@ def read_file(path: str | Path) -> bytes:
 def _manifest_params(manifest, directory: Path) -> SchemeParams:
     if not isinstance(manifest, dict):
         raise ParseError(f"scheme manifest in {directory} is not a JSON object")
-    if manifest.get("format") != "tgt-scheme-v1":
+    names = [f.name for f in fields(SchemeParams)]
+    if manifest.get("format") == "tgt-scheme-v1":
+        flags = " ".join(f"--{key.replace('_', '-')} {manifest.get(key)}"
+                         for key in (*names, "seed", "c", "c_g"))
+        raise ParseError(f"{directory} is a tgt-scheme-v1 bundle, which stored T.mat; "
+                         f"rebuild it with `tgt gen {flags} --out <new directory>`")
+    if manifest.get("format") != _FORMAT:
         raise ParseError(f"unknown scheme format {manifest.get('format')!r}")
     try:
-        values = {f.name: manifest[f.name] for f in fields(SchemeParams)}
+        values = {name: manifest[name] for name in names}
     except KeyError as exc:
         raise ParseError(f"scheme manifest in {directory} has no {exc} entry") from exc
     for key, value in values.items():
@@ -378,45 +340,51 @@ def _manifest_params(manifest, directory: Path) -> SchemeParams:
 
 def save_bundle(directory: str | Path, scheme: Scheme, seed: int, c: float, c_g: float,
                 m_certificate: dict, g_validation: dict) -> None:
-    """Write the files of `_bundle_files`: G.mat, M.mat, T.mat, scheme.json.
+    """Write the files of `_bundle_files`: G.mat, M.mat, scheme.json.
 
     Output is byte-reproducible: params serialize with sorted keys and
     nothing time- or host-dependent is recorded.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    # Gather the small pieces into 1 MiB writes: one system call per piece
-    # costs more than copying it.
-    for name, pieces in _bundle_files(scheme, seed, c, c_g, m_certificate, g_validation):
-        with open(directory / name, "wb", buffering=1 << 20) as fh:
-            fh.writelines(pieces)
+    for name, data in _bundle_files(scheme, seed, c, c_g, m_certificate, g_validation):
+        (directory / name).write_bytes(data)
 
 
 def load_bundle(directory: str | Path) -> tuple[Scheme, dict]:
     """Rebuild a scheme from a bundle directory.
 
-    The bundle is valid only when each of its files is, byte for byte and
-    up to its end, the file save_bundle writes for the stored G, M and the
-    manifest's parameters, seed, c, c_g and certificates.  Files are read
-    piece by piece against `_bundle_files`, so neither copy of T.mat is
-    ever whole in memory.
+    The bundle is valid only when G.mat and M.mat have the SHA-256 digests
+    that scheme.json records and each file is, byte for byte and up to its
+    end, the file save_bundle writes for the stored G, M and the manifest's
+    parameters, seed, c, c_g and certificates; ParseError if not.  It is
+    then refused with VerificationError unless M's certificate is verified
+    and G's validation passed.
     """
     directory = Path(directory)
+    data = {name: read_file(directory / name) for name in ("scheme.json", "G.mat", "M.mat")}
     try:
-        manifest = json.loads(read_file(directory / "scheme.json"))
+        manifest = json.loads(data["scheme.json"])
     except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ParseError(f"cannot read scheme manifest in {directory}: {exc}") from exc
     params = _manifest_params(manifest, directory)
-    g, m = (load_matrix(read_file(directory / name))[0] for name in ("G.mat", "M.mat"))
+    g, m = (load_matrix(data[name])[0] for name in ("G.mat", "M.mat"))
+    digests = manifest.get("sha256")
+    for name in ("G.mat", "M.mat"):  # a flipped payload bit still parses
+        digest = hashlib.sha256(data[name]).hexdigest()
+        if not isinstance(digests, dict) or digests.get(name) != digest:
+            raise ParseError(f"{directory / name} does not match its SHA-256 in scheme.json")
     scheme = Scheme(params, g, m)
     stored = (manifest.get(key) for key in ("seed", "c", "c_g", "m_certificate", "g_validation"))
     try:
-        for name, pieces in _bundle_files(scheme, *stored):
-            with open(directory / name, "rb") as fh:
-                intact = all(fh.read(len(piece)) == piece for piece in pieces) and not fh.read(1)
-            if not intact:
-                raise ParseError(f"{directory / name} does not match the file save_bundle "
-                                 "writes for this G, M and manifest")
-    except (OSError, RecursionError) as exc:  # RecursionError: values too deep to write back
+        files = _bundle_files(scheme, *stored)
+    except RecursionError as exc:  # values too deep to write back
         raise ParseError(f"cannot check the bundle in {directory}: {exc}") from exc
+    for name, expected in files:
+        if data[name] != expected:
+            raise ParseError(f"{directory / name} does not match the file save_bundle "
+                             "writes for this G, M and manifest")
+    for key, flag in (("m_certificate", "verified"), ("g_validation", "passed")):
+        if not (isinstance(manifest[key], dict) and manifest[key].get(flag) is True):
+            raise VerificationError(f"{directory / 'scheme.json'}: {key}.{flag} is not true")
     return scheme, manifest

@@ -69,14 +69,20 @@ def _check_at_least(name: str, value: int, low: int) -> None:
         raise ParameterError(f"{name} must be at least {low}, got {value}")
 
 
+def check_memory(nbytes: float, what: str) -> None:
+    """BudgetError unless `what`, nbytes large, fits in physical memory (a
+    NaN size never does); called before anything is allocated."""
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if not nbytes <= memory:
+        raise BudgetError(f"{what} does not fit in the {memory} bytes of physical memory")
+
+
 def _drawable_rows(rows: float, n: int) -> int:
     """ceil(rows), once a candidate's (rows, n) float64 draw is known to fit
     in physical memory; BudgetError, before anything is allocated, if not."""
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if math.isfinite(rows) and 8 * math.ceil(rows) * n <= memory:
-        return math.ceil(rows)
-    raise BudgetError(f"a {rows:.4g} x {n} float64 candidate draw does not fit in "
-                      f"the {memory} bytes of physical memory")
+    size = 8 * math.ceil(rows) * n if math.isfinite(rows) else math.inf
+    check_memory(size, f"a {rows:.4g} x {n} float64 candidate draw")
+    return math.ceil(rows)
 
 
 def disjunct_row_count(n: int, d: int, c: float = 3.0) -> int:

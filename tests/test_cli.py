@@ -1,4 +1,6 @@
 import json
+import os
+import re
 import shutil
 import tempfile
 import time
@@ -9,7 +11,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tgt import BitMatrix, DefectiveSet, serialize_matrix, serialize_vector
+from tgt import (
+    BitMatrix,
+    DefectiveSet,
+    load_bundle,
+    load_matrix,
+    serialize_matrix,
+    serialize_vector,
+)
 from tgt.cli import main
 
 
@@ -21,6 +30,13 @@ def run(capsys, *argv) -> tuple[int, str]:
 
 def bundle_files(path: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def rewrite_manifest(directory: Path, edit) -> None:
+    """Apply edit to the manifest and write it back as save_bundle would."""
+    manifest = json.loads((directory / "scheme.json").read_text())
+    edit(manifest)
+    (directory / "scheme.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -38,8 +54,7 @@ class TestGen:
     def test_bundle_contents_and_dimensions(self, bundle):
         manifest = json.loads((bundle / "scheme.json").read_text())
         assert manifest["t"] == (2 * manifest["k"] + 1) * manifest["h"]
-        for name in ("G.mat", "M.mat", "T.mat"):
-            assert (bundle / name).exists()
+        assert sorted(p.name for p in bundle.iterdir()) == ["G.mat", "M.mat", "scheme.json"]
         assert manifest["m_certificate"]["verified"]
         assert manifest["g_validation"]["passed"]
 
@@ -186,6 +201,37 @@ class TestEncodeDecode:
         assert code == 2
 
 
+class TestExportT:
+    def test_writes_the_dense_test_matrix(self, bundle, tmp_path, capsys):
+        out = tmp_path / "T.mat"
+        code, stdout = run(capsys, "export-t", "--bundle", str(bundle), "--out", str(out))
+        assert code == 0
+        scheme, manifest = load_bundle(bundle)
+        t, kind, params = load_matrix(out.read_bytes())
+        assert (t, kind) == (scheme.t, "final") and t.rows == manifest["t"]
+        assert params == load_matrix((bundle / "G.mat").read_bytes())[2]
+        assert json.loads(stdout) == {"out": str(out), "rows": manifest["t"], "cols": 16}
+
+    def test_oversized_export_is_a_budget_error(self, bundle, tmp_path, capsys, monkeypatch):
+        """With physical memory reported as 1 MiB, the n=16 T (907,392 entries,
+        3 bytes each while built) exits 5 before it is allocated or --out made."""
+        sysconf = os.sysconf
+        monkeypatch.setattr(os, "sysconf",
+                            lambda name: 256 if name == "SC_PHYS_PAGES" else sysconf(name))
+        out = tmp_path / "T.mat"
+        tracemalloc.start()
+        try:
+            code = main(["export-t", "--bundle", str(bundle), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("budget exceeded:") and "physical memory" in err
+        assert peak < 907_392 // 4
+        assert not out.exists()
+
+
 class TestSimulate:
     def test_error_free_recovery_rate(self, tmp_path, capsys):
         code, out = run(capsys, "simulate", "--n", "16", "--d", "3", "--u", "2",
@@ -275,7 +321,7 @@ class TestMalformedInput:
                       "--defectives", items, "--out", str(tmp_path / "y.vec"))
         assert code == 2
 
-    @pytest.mark.parametrize("name", ["G.mat", "M.mat", "T.mat"])
+    @pytest.mark.parametrize("name", ["G.mat", "M.mat"])
     def test_bundle_missing_matrix(self, bundle, tmp_path, capsys, name):
         copy = tmp_path / "b"
         shutil.copytree(bundle, copy)
@@ -318,6 +364,49 @@ class TestMalformedInput:
                      "--defectives", "2,9", "--out", str(tmp_path / "y.vec")])
         assert code == 2
         assert "unknown scheme format" in capsys.readouterr().err
+
+    def test_v1_bundle_names_its_rebuild(self, bundle, tmp_path, capsys):
+        """A tgt-scheme-v1 bundle (with T.mat, without digests) exits 2 with the
+        `tgt gen` call that rebuilds it, which writes the same G.mat and M.mat."""
+        copy = tmp_path / "v1"
+        shutil.copytree(bundle, copy)
+        assert main(["export-t", "--bundle", str(bundle), "--out", str(copy / "T.mat")]) == 0
+        rewrite_manifest(copy, lambda manifest: manifest.update(format="tgt-scheme-v1"))
+        rewrite_manifest(copy, lambda manifest: manifest.pop("sha256"))
+        capsys.readouterr()
+        assert main(["decode", "--bundle", str(copy), "--y", str(tmp_path / "y.vec")]) == 2
+        command = re.search(r"`tgt (gen .*) --out <new directory>`", capsys.readouterr().err)
+        assert command is not None
+        assert main([*command[1].split(), "--out", str(tmp_path / "new")]) == 0
+        for name in ("G.mat", "M.mat"):
+            assert (tmp_path / "new" / name).read_bytes() == (copy / name).read_bytes()
+
+    @pytest.mark.parametrize("command, case", [
+        *((command, "m-false") for command in ("encode", "decode", "simulate", "export-t")),
+        ("decode", "m-empty"), ("decode", "g-false"), ("decode", "g-string"),
+    ])
+    def test_unverified_certificate_refused(self, bundle, tmp_path, capsys, command, case):
+        key, flag, value = {
+            "m-false": ("m_certificate", "verified", False),
+            "m-empty": ("m_certificate", "verified", None),
+            "g-false": ("g_validation", "passed", False),
+            "g-string": ("g_validation", "passed", "true"),
+        }[case]
+        y_path = tmp_path / "y.vec"
+        run(capsys, "encode", "--bundle", str(bundle), "--defectives", "2,9", "--out", str(y_path))
+        copy = tmp_path / "b"
+        shutil.copytree(bundle, copy)
+        rewrite_manifest(copy, lambda manifest: manifest.update(
+            {key: {} if value is None else {**manifest[key], flag: value}}))
+        argv = {
+            "encode": ["--defectives", "2,9", "--out", str(tmp_path / "z.vec")],
+            "decode": ["--y", str(y_path)],
+            "simulate": ["--trials", "1"],
+            "export-t": ["--out", str(tmp_path / "T.mat")],
+        }[command]
+        assert main([command, "--bundle", str(copy), *argv]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("verification failed:") and f"{key}.{flag} is not true" in err
 
     def test_matrices_swapped(self, bundle, tmp_path, capsys):
         copy = tmp_path / "b"
@@ -512,7 +601,10 @@ class TestMalformedInput:
          "--out", "{missing}/b.csv"],
         ["gen", "--n", "16", "--d", "3", "--u", "2", "--e", "1", "--p", "0.65", "--seed", "7",
          "--out", "{y}/sub"],
-    ], ids=["encode", "decode", "verify", "verify-dir", "simulate", "bench", "gen"])
+        ["export-t", "--bundle", "{bundle}", "--out", "{missing}/T.mat"],
+        ["export-t", "--bundle", "{bundle}", "--out", "{dir}"],
+    ], ids=["encode", "decode", "verify", "verify-dir", "simulate", "bench", "gen", "export-t",
+            "export-t-dir"])
     def test_unwritable_output(self, bundle, tmp_path, capsys, argv):
         y_path = tmp_path / "y.vec"
         run(capsys, "encode", "--bundle", str(bundle), "--defectives", "2,9", "--out", str(y_path))
@@ -584,22 +676,34 @@ _COMMANDS = {
 }
 
 
+# export-t takes only a bundle and an output file, each valid or not.
+_EXPORT_T = {
+    "--bundle": _flag(["{bundle}"], ["{tmp}", "{tmp}/missing"]),
+    "--out": _flag(["{tmp}/T.mat"], ["{tmp}", "{tmp}/missing/T.mat"]),
+}
+
+
 @st.composite
 def _argvs(draw):
-    """gen, simulate or bench argv with n <= 16 and at most 3 trials."""
-    command = draw(st.sampled_from(sorted(_COMMANDS)))
-    required, optional = _COMMANDS[command]
-    flags = draw(st.fixed_dictionaries(
-        {**_REQUIRED, **required}, optional={**_OPTIONAL, **optional}
-    ))
+    """gen, simulate or bench argv with n <= 16 and at most 3 trials, or an
+    export-t argv with {bundle} and {tmp} still to fill in."""
+    command = draw(st.sampled_from([*sorted(_COMMANDS), "export-t"]))
+    if command == "export-t":
+        flags = draw(st.fixed_dictionaries(_EXPORT_T))
+    else:
+        required, optional = _COMMANDS[command]
+        flags = draw(st.fixed_dictionaries(
+            {**_REQUIRED, **required}, optional={**_OPTIONAL, **optional}
+        ))
     return [command, *(token for pair in flags.items() for token in pair)]
 
 
 class TestArgvFuzz:
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_argvs())
-    def test_main_only_exits_with_documented_codes(self, argv):
+    def test_main_only_exits_with_documented_codes(self, bundle, argv):
         with tempfile.TemporaryDirectory() as tmp:
+            argv = [a.format(bundle=bundle, tmp=tmp) for a in argv]
             if argv[0] == "gen":
                 argv = [*argv, "--out", str(Path(tmp) / "b")]
             try:
@@ -621,9 +725,9 @@ def fuzz_inputs(bundle, tmp_path_factory):
 
 
 _READERS = {  # file -> the subcommands that read it
-    "b/G.mat": ["verify", "encode", "decode"],
-    "b/M.mat": ["verify", "encode", "decode"],
-    "b/scheme.json": ["encode", "decode"],
+    "b/G.mat": ["verify", "encode", "decode", "export-t"],
+    "b/M.mat": ["verify", "encode", "decode", "export-t"],
+    "b/scheme.json": ["encode", "decode", "export-t"],
     "x.vec": ["encode"],
     "y.vec": ["decode"],
 }
@@ -661,6 +765,7 @@ class TestFileFuzz:
                 "encode": ["encode", "--bundle", str(root / "b"), "--x", str(root / "x.vec"),
                            "--out", f"{tmp}/y.vec"],
                 "decode": ["decode", "--bundle", str(root / "b"), "--y", str(root / "y.vec")],
+                "export-t": ["export-t", "--bundle", str(root / "b"), "--out", f"{tmp}/T.mat"],
             }[command]
             start = time.perf_counter()
             code = main(argv)

@@ -1,4 +1,4 @@
-"""Same-seed CLI outputs pinned by SHA-256, and T.mat integrity on load.
+"""Same-seed CLI outputs pinned by SHA-256, and bundle integrity on load.
 
 Bundles, simulation CSVs, outcome vectors and decode reports are pure
 functions of their arguments, so their digests only move when the file
@@ -9,6 +9,7 @@ not a multiple of 8.
 import base64
 import hashlib
 import json
+import re
 import shutil
 from itertools import combinations
 
@@ -25,15 +26,18 @@ BUNDLE_DIGESTS = {
     16: {
         "G.mat": "797f0a294d114553f8d0fe0dc6eeb984330efde28d49b74523e4561382935ec1",
         "M.mat": "7bc2aae94d1c1ef0cfbbb9dd7f8fd725327ef4dbf646d1752e4f6c7e9e2cc308",
-        "T.mat": "2699eadd17d26717d3161134a3de28856805ec9e5fa77c77238629f717c2aa1b",
-        "scheme.json": "8b8c055c96f3ae37377f67a20f4f1eaf73c8f05d2dc1971ab7ae48bb20819ad5",
+        "scheme.json": "2203bdfd629106b968707013d23e803154ccdafc76a103f71d825dc30a20342c",
     },
     13: {
         "G.mat": "052b2c65dfb0a6892a528cf19b43227fd1aba726b2c3407a6c6d7c56f7746156",
         "M.mat": "771104ffd8fdb7a9b7fb075f91addd2fd5b126e08ce79b059dbd26c11a796425",
-        "T.mat": "c35d07b77bab9661719955d21713c926b240f1c5ae4bc3659b44c688101150a7",
-        "scheme.json": "02e8d84bd4a7a25f1a7aae0f29d16fa7babd5573ff97140d3fdaf5e4fbdf6107",
+        "scheme.json": "86f80a5e3a0b4af98aed596c93ac9eb4ffa35dd5d4cfdf93b95b2ff34e992923",
     },
+}
+# `tgt export-t` of the bundles above: the T.mat that tgt-scheme-v1 bundles stored.
+T_DIGESTS = {
+    16: "2699eadd17d26717d3161134a3de28856805ec9e5fa77c77238629f717c2aa1b",
+    13: "c35d07b77bab9661719955d21713c926b240f1c5ae4bc3659b44c688101150a7",
 }
 SIMULATE_CSV = "92f48aa6b608a90c4d2dba910690e2e8edbb96f8209bba9b9c2cfdb46ae6708a"
 ADVERSARIAL_CSV = "8c78cce61a5d5e542cb194a40dd2706043c5902b4abd71dec91efd2720b1063d"
@@ -101,6 +105,13 @@ def bundles(tmp_path_factory):
 def test_gen_bundle_digests(bundles, n):
     directory = bundles / f"b{n}"
     assert {p.name: sha256(p) for p in directory.iterdir()} == BUNDLE_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", sorted(T_DIGESTS))
+def test_export_t_digests(bundles, tmp_path, n):
+    out = tmp_path / "T.mat"
+    assert main(["export-t", "--bundle", str(bundles / f"b{n}"), "--out", str(out)]) == 0
+    assert sha256(out) == T_DIGESTS[n]
 
 
 def test_simulate_csv_digest(bundles, tmp_path):
@@ -190,25 +201,32 @@ def _flip_first_bit(payload: bytearray) -> None:
 
 
 def _set_padding_bit(payload: bytearray) -> None:
-    payload[-1] |= 0x80  # 47601 x 13 bits leave 3 padding bits in the last word
+    payload[-1] |= 0x80  # 123 x 13 and 193 x 13 bits leave padding in the last word
 
 
 def _wrong_rows(data: bytes) -> bytes:
-    return data.replace(b"rows=47601", b"rows=47600", 1)
+    return re.sub(rb"rows=(\d+)", lambda m: b"rows=%d" % (int(m[1]) - 1), data, count=1)
 
 
+@pytest.mark.parametrize("name", ["G.mat", "M.mat"])
 @pytest.mark.parametrize("tamper", [
     lambda data: _tamper_payload(data, _flip_first_bit),
     lambda data: _tamper_payload(data, _set_padding_bit),
     _wrong_rows,
 ], ids=["payload-bit", "padding-bit", "rows"])
-def test_tampered_final_matrix_rejected(bundles, tmp_path, tamper):
+def test_tampered_matrix_rejected(bundles, tmp_path, capsys, name, tamper):
+    """Each tamper exits 2.  A flipped payload bit still parses; the SHA-256
+    in scheme.json is what rejects it."""
     directory = tmp_path / "b13"
     shutil.copytree(bundles / "b13", directory)
-    load_bundle(directory)
-    original = (directory / "T.mat").read_bytes()
+    y = tmp_path / "y.vec"
+    assert main(["encode", "--bundle", str(directory), "--defectives", "2,9", "--out", str(y)]) == 0
+    original = (directory / name).read_bytes()
     tampered = tamper(original)
     assert tampered != original
-    (directory / "T.mat").write_bytes(tampered)
+    (directory / name).write_bytes(tampered)
+    capsys.readouterr()
+    assert main(["decode", "--bundle", str(directory), "--y", str(y)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
     with pytest.raises(ParseError):
         load_bundle(directory)
