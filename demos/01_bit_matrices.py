@@ -7,7 +7,7 @@ from tgt import BitMatrix, BitVector, load_matrix, serialize_matrix
 # Everything binary in this library is a BitMatrix or BitVector: immutable,
 # hashable, and backed by a read-only numpy 0/1 array.
 
-m = BitMatrix.from_rows([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1]])
+m = BitMatrix([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1]])
 a = m.to_array()
 print("matrix:")
 print(a)

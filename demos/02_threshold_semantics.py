@@ -7,7 +7,7 @@ from tgt import BitMatrix, BitVector, apply_threshold, inject_errors
 # A pool is positive at threshold u when it contains at least u defectives.
 # u = 1 recovers the classical OR semantics.  One pool is a one-row matrix.
 
-pool = BitMatrix.from_rows([[1, 1, 1, 0, 0, 0]])
+pool = BitMatrix([[1, 1, 1, 0, 0, 0]])
 x = BitVector([1, 1, 0, 0, 0, 1])  # defectives 0, 1, 5; pool sees two of them
 
 for u in (1, 2, 3):

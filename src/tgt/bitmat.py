@@ -97,16 +97,6 @@ class BitVector(_Bits):
     __slots__ = ()
     _ndim = 1
 
-    @classmethod
-    def from_support(cls, indices, n: int) -> "BitVector":
-        a = np.zeros(n, dtype=np.uint8)
-        idx = np.asarray(list(indices), dtype=np.int64)
-        if idx.size:
-            if idx.min() < 0 or idx.max() >= n:
-                raise ValueError("support index out of range")
-            a[idx] = 1
-        return cls(a)
-
     def __len__(self) -> int:
         return self._a.size
 
@@ -135,10 +125,6 @@ class BitMatrix(_Bits):
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
         return cls(np.eye(n, dtype=np.uint8))
-
-    @classmethod
-    def from_rows(cls, rows) -> "BitMatrix":
-        return cls(np.asarray(rows, dtype=np.uint8))
 
     @classmethod
     def random(cls, rng: np.random.Generator, rows: int, cols: int, density: float) -> "BitMatrix":
@@ -177,7 +163,11 @@ class DefectiveSet:
         return cls(int(i) - 1 for i in indices)
 
     def to_vector(self, n: int) -> BitVector:
-        return BitVector.from_support(self.indices, n)
+        if self.indices and self.indices[-1] >= n:
+            raise ValueError("support index out of range")
+        a = np.zeros(n, dtype=np.uint8)
+        a[list(self.indices)] = 1
+        return BitVector(a)
 
     def to_one_based(self) -> list[int]:
         return [i + 1 for i in self.indices]

@@ -40,6 +40,7 @@ from .codec import (
     save_bundle,
 )
 from .constructions import (
+    DEFAULT_SAMPLED_TRIALS,
     _sample_defective_set,
     construct_disjunct,
     construct_good,
@@ -253,8 +254,8 @@ def cmd_encode(args) -> int:
     scheme, _ = load_bundle(args.bundle)
     if args.x:
         x = deserialize_vector(read_file(args.x))
-    elif args.defectives:
-        x = _parse_defectives(args.defectives, scheme.params.n).to_vector(scheme.params.n)
+    elif args.items:
+        x = _parse_defectives(args.items, scheme.params.n).to_vector(scheme.params.n)
     else:
         raise ParameterError("need --x or --defectives")
     flat = encode(scheme, x)
@@ -420,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--u", type=int)
     verify.add_argument("--e", type=int, default=0)
     verify.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
-    verify.add_argument("--trials", type=int, default=20000)
+    verify.add_argument("--trials", type=int, default=DEFAULT_SAMPLED_TRIALS)
     verify.add_argument("--seed", type=_seed, default=0)
     verify.add_argument("--out")
     verify.set_defaults(func=cmd_verify)
@@ -428,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     enc = subs.add_parser("encode", help="apply a bundle's tests to an item vector")
     enc.add_argument("--bundle", required=True)
     enc.add_argument("--x", help="item vector file (TGTVEC)")
-    enc.add_argument("--defectives", help="comma-separated 1-based item indices")
+    enc.add_argument("--defectives", dest="items", help="comma-separated 1-based item indices")
     enc.add_argument("--out", required=True)
     enc.set_defaults(func=cmd_encode)
 

@@ -169,9 +169,6 @@ class CandidateMultiset:
 
     counts: dict[int, int]
 
-    def support(self) -> DefectiveSet:
-        return DefectiveSet(self.counts.keys())
-
     def at_least(self, threshold: int) -> DefectiveSet:
         """Items in at least `threshold` >= 1 accepted blocks.  With G good at
         budget 2e and at most e flipped outcomes, e+1 keeps exactly the
@@ -184,16 +181,13 @@ class CandidateMultiset:
 @dataclass(frozen=True)
 class DecodeReport:
     """What the decoder decided: one reason per block, the u items of each
-    accepted block (in block order) and their occurrence counts.  Traces,
-    status and the error-free answer are views derived from these."""
+    accepted block (in block order) and their occurrence counts.  Traces
+    and status are views derived from these; the decoded set is
+    `multiset.at_least(e + 1)`."""
 
     reasons: tuple[str, ...]
     accepted: dict[int, tuple[int, ...]]
     multiset: CandidateMultiset
-
-    @property
-    def defectives(self) -> DefectiveSet:
-        return self.multiset.support()
 
     @property
     def status(self) -> str:

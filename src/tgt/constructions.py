@@ -44,18 +44,17 @@ DEFAULT_SAMPLED_TRIALS = 20_000
 _CHUNK_BYTES = 1 << 20  # temporaries per batched disjunctness check
 
 
-def work_budget(budget: int | None = None) -> int:
-    """Explicit budget, else the TGT_BUDGET environment cap, else default; never negative."""
-    if budget is None:
-        env = os.environ.get("TGT_BUDGET")
-        if not env:
-            return DEFAULT_BUDGET
-        try:
-            budget = int(env)
-        except ValueError as exc:
-            raise ParameterError(f"TGT_BUDGET must be an integer, got {env!r}") from exc
+def work_budget() -> int:
+    """The TGT_BUDGET environment cap, else the default: the library's one work cap."""
+    env = os.environ.get("TGT_BUDGET")
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(env)
+    except ValueError as exc:
+        raise ParameterError(f"TGT_BUDGET must be an integer, got {env!r}") from exc
     if budget < 0:
-        raise ParameterError(f"work budget must be nonnegative, got {budget}")
+        raise ParameterError(f"TGT_BUDGET must be nonnegative, got {budget}")
     return budget
 
 
@@ -170,7 +169,6 @@ def verify_disjunct(
     mode: str = "exhaustive",
     trials: int = DEFAULT_SAMPLED_TRIALS,
     rng: np.random.Generator | None = None,
-    budget: int | None = None,
 ) -> DisjunctCertificate:
     """Check d-disjunctness by enumeration or uniform sampling.
 
@@ -192,7 +190,7 @@ def verify_disjunct(
         raise ParameterError(f"sampled mode needs at least one draw, got trials={trials}")
     if mode == "exhaustive":
         cost = _exhaustive_cost(n, d)
-        cap = work_budget(budget)
+        cap = work_budget()
         if cost > cap:
             raise BudgetError(
                 f"exhaustive check needs ~{cost} steps, budget is {cap}; "
@@ -262,7 +260,6 @@ def construct_disjunct(
     rng: np.random.Generator,
     max_attempts: int = 50,
     c: float = 3.0,
-    budget: int | None = None,
 ) -> tuple[BitMatrix, DisjunctCertificate]:
     """Sample Bernoulli matrices until one verifies as (d+1)-disjunct.
 
@@ -277,10 +274,10 @@ def construct_disjunct(
     k = disjunct_row_count(n, d, c)
     density = 1.0 / (d + 2)
     order = d + 1
-    mode = "exhaustive" if _exhaustive_cost(n, order) <= work_budget(budget) else "sampled"
+    mode = "exhaustive" if _exhaustive_cost(n, order) <= work_budget() else "sampled"
     for _ in range(max_attempts):
         m = BitMatrix.random(rng, k, n, density)
-        cert = verify_disjunct(m, order, mode=mode, rng=rng, budget=budget)
+        cert = verify_disjunct(m, order, mode=mode, rng=rng)
         if cert.verified:
             return m, cert
     raise ConstructionError(
@@ -289,13 +286,7 @@ def construct_disjunct(
     )
 
 
-def verify_threshold_disjunct(
-    g: BitMatrix,
-    d: int,
-    u: int,
-    e: int,
-    budget: int | None = None,
-) -> ThresholdDisjunctReport:
+def verify_threshold_disjunct(g: BitMatrix, d: int, u: int, e: int) -> ThresholdDisjunctReport:
     """Exhaustively check the threshold-disjunct property at desk scale.
 
     Counts every (S, Z, j) triple, one array product per S and |Z|; the
@@ -311,7 +302,7 @@ def verify_threshold_disjunct(
             math.comb(n - s_size, z) for z in range(0, min(s_size, n - s_size) + 1)
         )
         total += math.comb(n, s_size) * z_choices * s_size
-    cap = work_budget(budget)
+    cap = work_budget()
     if total > cap:
         raise BudgetError(f"threshold check needs ~{total} triples, budget is {cap}")
 

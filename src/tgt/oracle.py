@@ -44,13 +44,14 @@ def brute_force_decode(
     d: int,
     u: int,
     budget: int = 0,
-    enum_limit: int | None = None,
 ) -> ConsistencySet:
     """Enumerate all sets of up to d items consistent with the outcome.
 
     Candidates are visited by cardinality, then lexicographically by
     sorted index tuple, so candidate order (and count) is exact and
-    reproducible.  Each batch of candidates holds about `_CHUNK_BYTES` of counts.
+    reproducible.  More than `DEFAULT_ENUM_LIMIT` candidates is a BudgetError,
+    raised before anything is allocated.  Each batch of candidates holds about
+    `_CHUNK_BYTES` of counts.
     """
     if t.rows != len(y):
         raise DimensionError(f"matrix has {t.rows} rows, outcome has {len(y)}")
@@ -62,9 +63,8 @@ def brute_force_decode(
     if d < 0 or d > n:
         raise ParameterError(f"need 0 <= d <= n, got d={d}, n={n}")
     total = sum(math.comb(n, s) for s in range(d + 1))
-    limit = enum_limit if enum_limit is not None else DEFAULT_ENUM_LIMIT
-    if total > limit:
-        raise BudgetError(f"enumeration needs {total} candidates, limit is {limit}")
+    if total > DEFAULT_ENUM_LIMIT:
+        raise BudgetError(f"enumeration needs {total} candidates, limit is {DEFAULT_ENUM_LIMIT}")
 
     tf = t.to_array().astype(np.float32)
     ya = y.to_array()

@@ -60,9 +60,9 @@ class TestBitTypes:
             DefectiveSet([-1, 2])
 
     def test_support_out_of_range(self):
-        assert BitVector.from_support([], 3) == BitVector.zeros(3)
+        assert DefectiveSet().to_vector(3) == BitVector.zeros(3)
         with pytest.raises(ValueError):
-            BitVector.from_support([4], 4)
+            DefectiveSet([4]).to_vector(4)
         with pytest.raises(ValueError):
             DefectiveSet([2, 5]).to_vector(5)
 
@@ -70,7 +70,7 @@ class TestBitTypes:
 class TestSerialization:
     def test_packed_layout_lsb_first(self):
         # flat bits (1,0,1,0,1,1) -> byte 0b00110101 = 0x35, then zero pad
-        m = BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
+        m = BitMatrix([[1, 0, 1], [0, 1, 1]])
         assert m.packed() == bytes([0x35]) + bytes(7)
 
     @given(bit_matrices)

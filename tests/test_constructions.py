@@ -75,20 +75,20 @@ class TestVerifyDisjunct:
         )
         assert cert.verified and cert.trials == 200
 
-    def test_budget_error(self):
+    def test_budget_error(self, monkeypatch):
+        monkeypatch.setenv("TGT_BUDGET", "1000")
         m = BitMatrix.random(np.random.default_rng(0), 5, 40, 0.2)
         with pytest.raises(BudgetError):
-            verify_disjunct(m, 12, budget=1000)
+            verify_disjunct(m, 12)
 
     def test_negative_budget(self, monkeypatch):
         m = BitMatrix.identity(6)
-        with pytest.raises(ParameterError):
-            verify_disjunct(m, 2, budget=-1)
         monkeypatch.setenv("TGT_BUDGET", "-1")
         with pytest.raises(ParameterError):
             verify_disjunct(m, 2)
+        monkeypatch.setenv("TGT_BUDGET", "0")
         with pytest.raises(BudgetError):  # 0 is a budget that allows no exhaustive work
-            verify_disjunct(m, 2, budget=0)
+            verify_disjunct(m, 2)
 
     def test_order_out_of_range(self):
         with pytest.raises(ParameterError):
@@ -292,9 +292,10 @@ class TestVerifyThresholdDisjunct:
         s, z, j = report.witness
         assert j in s and not (set(s) & set(z))
 
-    def test_budget_error(self):
+    def test_budget_error(self, monkeypatch):
+        monkeypatch.setenv("TGT_BUDGET", "100")
         with pytest.raises(BudgetError):
-            verify_threshold_disjunct(BitMatrix.zeros(4, 20), 5, 2, 0, budget=100)
+            verify_threshold_disjunct(BitMatrix.zeros(4, 20), 5, 2, 0)
 
     def test_negative_error_budget(self):
         # No count is <= -1, so a negative e would certify any matrix.
@@ -353,14 +354,14 @@ def threshold_disjunct_reference(g: BitMatrix, d: int, u: int, e: int):
 
 class TestIsGoodFor:
     def test_worked_example(self):
-        g = BitMatrix.from_rows([[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 0]])
+        g = BitMatrix([[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 0]])
         dset = DefectiveSet([0, 1, 2])
         report = is_good_for(g, dset, 2, 1)
         assert report.is_good
         assert report.per_item_counts == {0: 2, 1: 2, 2: 2}
 
     def test_budget_two_not_good(self):
-        g = BitMatrix.from_rows([[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 0]])
+        g = BitMatrix([[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 0]])
         assert not is_good_for(g, DefectiveSet([0, 1, 2]), 2, 2).is_good
 
     def test_fewer_defectives_than_threshold(self):

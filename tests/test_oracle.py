@@ -73,9 +73,10 @@ class TestBruteForceDecode:
         assert [c.indices for c in consistent.candidates] == [(), (0,), (1,), (2,), (3,)]
 
     def test_enumeration_limit(self):
-        t = BitMatrix.ones(1, 40)
+        # 2,369,936 candidates of size <= 5 among 50 items, past DEFAULT_ENUM_LIMIT.
+        t = BitMatrix.ones(1, 50)
         with pytest.raises(BudgetError):
-            brute_force_decode(t, BitVector.zeros(1), 5, 2, enum_limit=1000)
+            brute_force_decode(t, BitVector.zeros(1), 5, 2)
 
     def test_parameter_validation(self):
         t = BitMatrix.identity(4)
@@ -116,10 +117,11 @@ class TestBatchedWalk:
     @settings(max_examples=60, deadline=None)
     @given(
         rows=st.integers(1, 24), n=st.integers(1, 9), d=st.integers(0, 4),
-        u=st.integers(1, 3), budget=st.integers(0, 3), density=st.floats(0.1, 0.9),
+        u=st.integers(1, 3), mismatches=st.integers(0, 3), density=st.floats(0.1, 0.9),
         flips=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_one_candidate_loop(self, chunk, rows, n, d, u, budget, density, flips, seed):
+    def test_matches_one_candidate_loop(self, chunk, rows, n, d, u, mismatches, density, flips,
+                                        seed):
         d = min(d, n)
         rng = np.random.default_rng(seed)
         t = BitMatrix.random(rng, rows, n, density)
@@ -127,8 +129,8 @@ class TestBatchedWalk:
         truth = DefectiveSet(rng.choice(n, size=size, replace=False).tolist())
         y, _ = inject_errors(apply_threshold(t, truth.to_vector(n), u), min(flips, rows), rng)
         with patch.object(oracle, "_CHUNK_BYTES", chunk):
-            found = brute_force_decode(t, y, d, u, budget=budget)
-        assert [c.indices for c in found.candidates] == reference_decode(t, y, d, u, budget)
+            found = brute_force_decode(t, y, d, u, budget=mismatches)
+        assert [c.indices for c in found.candidates] == reference_decode(t, y, d, u, mismatches)
 
     def test_memory_is_bounded(self):
         """The n=16 scheme of the benchmark's grid-small workload has 88,821

@@ -50,19 +50,19 @@ class TestOperators:
     """One test at threshold u is apply_threshold on a one-row matrix."""
 
     def test_threshold_examples(self):
-        row = BitMatrix.from_rows([[1, 1, 1, 0]])
+        row = BitMatrix([[1, 1, 1, 0]])
         x = BitVector([1, 1, 0, 0])
         assert apply_threshold(row, x, 2)[0] == 1
         assert apply_threshold(row, x, 3)[0] == 0
         assert apply_threshold(row, BitVector.zeros(4), 1)[0] == 0
 
     def test_or_examples(self):
-        assert apply_threshold(BitMatrix.from_rows([[1, 0, 1]]), BitVector([0, 0, 1]), 1)[0] == 1
-        assert apply_threshold(BitMatrix.from_rows([[1, 0, 0]]), BitVector([0, 1, 1]), 1)[0] == 0
+        assert apply_threshold(BitMatrix([[1, 0, 1]]), BitVector([0, 0, 1]), 1)[0] == 1
+        assert apply_threshold(BitMatrix([[1, 0, 0]]), BitVector([0, 1, 1]), 1)[0] == 0
 
     def test_threshold_below_one_rejected(self):
         with pytest.raises(ParameterError):
-            apply_threshold(BitMatrix.from_rows([[1, 1]]), BitVector([1, 1]), 0)
+            apply_threshold(BitMatrix([[1, 1]]), BitVector([1, 1]), 0)
 
     @given(st.integers(0, 2**32 - 1))
     def test_or_equals_threshold_one(self, seed):
@@ -78,7 +78,7 @@ class TestApplyThreshold:
         assert out == BitVector.zeros(4)
 
     def test_all_ones_row(self):
-        m = BitMatrix.from_rows([[1, 1, 1, 1], [0, 0, 0, 1]])
+        m = BitMatrix([[1, 1, 1, 1], [0, 0, 0, 1]])
         out = apply_threshold(m, BitVector([1, 1, 0, 0]), 2)
         assert out == BitVector([1, 0])
 
