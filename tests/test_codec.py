@@ -526,6 +526,26 @@ class TestMultisetAndTolerantDecoding:
         assert report.multiset.counts == recount
         assert sum(report.multiset.counts.values()) <= scheme.params.u * scheme.h
 
+    def test_set_collapse_equals_plain_decode(self, scheme16):
+        # Collapsing the multiset to a set gives the union of the accepted blocks' items.
+        scheme, _ = scheme16
+        truth = DefectiveSet([0, 9])
+        report = decode_blocks(scheme, encode(scheme, truth.to_vector(16)))
+        union = DefectiveSet(j for items in report.accepted.values() for j in items)
+        assert report.multiset.at_least(1) == union == truth
+
+    def test_zero_budget_equals_plain_decode(self, scheme16):
+        # At e=0 the decoded set at_least(e + 1) is the error-free answer at_least(1).
+        scheme, _ = scheme16
+        assert scheme.params.e == 0
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            size = int(rng.integers(2, 4))
+            truth = DefectiveSet(rng.choice(16, size=size, replace=False).tolist())
+            report = decode_blocks(scheme, encode(scheme, truth.to_vector(16)))
+            assert report.multiset.at_least(scheme.params.e + 1) == truth
+            assert report.multiset.at_least(1) == DefectiveSet(report.multiset.counts)
+
     def test_vote_threshold_below_one_rejected(self, scheme16):
         scheme, _ = scheme16
         report = decode_blocks(scheme, encode(scheme, DefectiveSet([0, 9]).to_vector(16)))
