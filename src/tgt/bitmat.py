@@ -49,14 +49,16 @@ class _Bits:
     _ndim: int
 
     def __init__(self, data):
-        a = np.asarray(data, dtype=np.uint8)
+        a = np.asarray(data)
         if a.ndim != self._ndim:
             raise DimensionError(f"expected {self._ndim}-d data, got {a.ndim}-d")
         if a.size == 0:
             raise DimensionError("empty shapes are not allowed")
-        if not np.all((a == 0) | (a == 1)):
+        # Checked as given, since a cast first would make 256 a 0 and 1.7 a 1.
+        if (a.max() > 1 if a.dtype == np.uint8  # one pass; bool needs no check
+                else a.dtype != bool and np.any((a != 0) & (a != 1))):
             raise ValueError("entries must be 0 or 1")
-        a = a.copy()
+        a = np.array(a, dtype=np.uint8)  # a private copy
         a.flags.writeable = False
         object.__setattr__(self, "_a", a)
 

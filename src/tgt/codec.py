@@ -6,21 +6,22 @@ for each row i of G, one block of 2k+1 pools:
 
     [ G_i ;  M masked by G_i ;  complement(M) masked by G_i ]
 
-so T has (2k+1) h rows.  T holds nothing beyond G and M, so a scheme
-stores only those two and derives T when it is needed.  Outcomes are one
-flat vector in the row order of T.  Under threshold-u semantics the
-block for row i observes the restriction of the item vector to
-supp(G_i).  When that restriction has weight exactly u, the three
-recovery rules turn the pair of threshold outcome blocks into the
-boolean-OR outcome of M, which the cover decoder inverts exactly.
-Blocks whose restriction has a different weight are screened out by the
-size and OR-consistency checks; the decoder also keeps per-item
-occurrence counts so that up to e erroneous outcomes can be outvoted (an
-error corrupts at most one block, so a frequency threshold of e+1
-separates true items from fabricated ones).  The distinct recovered
-outcomes of the positive blocks are decoded together by the cover rule,
-written once in `_survivors` (first on M's first rows, then in full on the
-columns that pass), and each decision goes to every block with that outcome.
+so T has (2k+1) h rows.  T holds nothing beyond G and M, so a scheme stores
+only those two and derives T when it is needed.  Outcomes are one flat vector
+in the row order of T.  Under threshold-u semantics the block for row i
+observes the restriction of the item vector x to supp(G_i), so `encode`
+computes each distinct block once (at most min(h, 2^|supp(x)|) of them) and
+copies it to the rows that share it.  When that restriction has weight
+exactly u, the three recovery rules turn the pair of threshold outcome blocks
+into the boolean-OR outcome of M, which the cover decoder inverts exactly.
+Blocks whose restriction has a different weight are screened out by the size
+and OR-consistency checks; the decoder also keeps per-item occurrence counts
+so that up to e erroneous outcomes can be outvoted (an error corrupts at most
+one block, so a frequency threshold of e+1 separates true items from
+fabricated ones).  The distinct recovered outcomes of the positive blocks are
+decoded together by the cover rule, written once in `_survivors` (first on
+M's first rows, then in full on the columns that pass), and each decision
+goes to every block with that outcome.
 
 A bundle is the files of `_bundle_files`: G.mat, M.mat and the
 scheme.json manifest, each a function of G, M, the parameters, seed, c,
@@ -92,19 +93,29 @@ def build_scheme(g: BitMatrix, m: BitMatrix, params: SchemeParams) -> Scheme:
 
 
 def encode(scheme: Scheme, x: BitVector) -> BitVector:
-    """Apply every test of T to x at threshold u.
-
-    Bits are ordered [y_i, y-block, ybar-block] per locator row i, as the
-    rows of T.  Only the columns in S = supp(x) can add to a count, so test
-    (i, r) counts G_i & pattern_r over S, with the block pattern of T
-    restricted to S; float32 keeps the counts exact.
+    """Apply every test of T to x at threshold u, in the row order of T:
+    [y_i, y-block, ybar-block] per locator row i.  Only S = supp(x) can add
+    to a count, and block i depends only on G_i over S, so each distinct
+    block, at most min(h, 2^|S|) of them, counts G_i & pattern_r over S once
+    (float32, exact) and is copied to the rows that share it.
     """
     if len(x) != scheme.params.n:
         raise DimensionError(f"item vector has length {len(x)}, scheme needs {scheme.params.n}")
     support = x.support()
-    g = scheme.g.to_array()[:, support].astype(np.float32)
+    if support.size < scheme.params.u:  # no test reaches the threshold
+        return BitVector.zeros(scheme.tests)
+    distinct, inverse = _distinct_rows(scheme.g.to_array()[:, support])
     pattern = _block_pattern(scheme.m.to_array()[:, support].astype(np.float32))
-    return BitVector((g @ pattern.T >= scheme.params.u).reshape(-1))
+    outcomes = distinct.astype(np.float32) @ pattern.T >= scheme.params.u
+    return BitVector(outcomes[inverse].reshape(-1))
+
+
+def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 0/1 array with columns, and each row's index among them, by
+    one void per packed row (copied contiguous for the view); np.unique(axis=0) is 10x slower."""
+    rows = np.ascontiguousarray(np.packbits(a, axis=1)).view(f"V{(a.shape[1] + 7) // 8}").ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    return a[first], inverse
 
 
 # flatten_outcomes and split_outcome are pass-throughs now that outcomes
@@ -232,10 +243,7 @@ def decode_blocks(scheme: Scheme, y: BitVector) -> DecodeReport:
     view = y.to_array().reshape(h, 2 * k + 1)
     positive = np.flatnonzero(view[:, 0])
     yprime = recover_yprime(view[positive, 1 : k + 1], view[positive, k + 1 :])
-    # One void per outcome: np.unique(axis=0) on the rows is over ten times slower.
-    rows = np.packbits(yprime, axis=1).view(f"V{(k + 7) // 8}").ravel()
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    distinct = yprime[first]  # (U, k); block b of `positive` has row inverse[b]
+    distinct, inverse = _distinct_rows(yprime)  # (U, k); block b of `positive` is row inverse[b]
     head = _survivors(ma[:_SCREEN_ROWS], distinct[:, :_SCREEN_ROWS])  # (U, n)
     cols = np.flatnonzero(head.any(axis=0))  # the rest are dead in every block
     alive = _survivors(sub := ma[:, cols], distinct)  # (U, |cols|), in item order

@@ -34,6 +34,29 @@ class TestBitTypes:
         with pytest.raises(ValueError):
             BitMatrix([[0, 2]])
 
+    @pytest.mark.parametrize("data", [
+        np.array([0, 256]),  # 0 after a cast to uint8
+        np.array([0.5, 1.7]),  # 0 and 1 after a cast
+        np.array([0, -1]),
+        [0, 2],
+        np.array([0, 2], dtype=np.uint8),
+        np.array([np.nan, 1.0]),
+    ])
+    def test_values_are_checked_before_the_cast(self, data):
+        with pytest.raises(ValueError):
+            BitVector(data)
+
+    @pytest.mark.parametrize("data", [[True, False], np.array([1, 0], dtype=np.int64), [1.0, 0.0]])
+    def test_exact_zeros_and_ones_of_any_dtype_are_accepted(self, data):
+        v = BitVector(data)
+        assert v == BitVector(np.array([1, 0], dtype=np.uint8)) and v.to_array().dtype == np.uint8
+
+    def test_bits_are_a_private_copy(self):
+        for a in (np.array([1, 0, 1], dtype=np.uint8), np.array([True, False, True])):
+            v = BitVector(a)
+            a[0] = 0
+            assert v[0] == 1
+
     def test_immutability(self):
         m = BitMatrix.identity(3)
         with pytest.raises(ValueError):

@@ -181,6 +181,39 @@ class TestEncode:
         for x in xs:
             assert encode(scheme, x) == apply_threshold(scheme.t, x, scheme.params.u)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 12), h=st.integers(1, 6), k=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_t_on_random_schemes(self, n, h, k, seed):
+        """Duplicate and all-zero locator rows, every weight of x from 0 to n."""
+        rng = np.random.default_rng(seed)
+        g = BitMatrix.random(rng, h, n, 0.5).to_array()
+        g = np.vstack([g, g[:1], np.zeros((1, n), dtype=np.uint8)])[rng.permutation(h + 2)]
+        d = int(rng.integers(2, n))
+        params = SchemeParams(n=n, d=d, u=int(rng.integers(2, d + 1)))
+        scheme = build_scheme(BitMatrix(g), BitMatrix.random(rng, k, n, 0.5), params)
+        t = scheme.t
+        for weight in range(n + 1):
+            x = DefectiveSet(rng.choice(n, size=weight, replace=False).tolist()).to_vector(n)
+            assert encode(scheme, x) == apply_threshold(t, x, params.u)
+
+    def test_support_wider_than_eight_bytes(self):
+        """x all ones at n=80, so each locator row's key spans ten bytes.  Row 1
+        first differs from row 0 at item 75 and row 2 at item 70; only row 0
+        stays below u=3."""
+        rng = np.random.default_rng(11)
+        g = np.zeros((3, 80), dtype=np.uint8)
+        g[:, [0, 5]] = 1
+        g[1, 75] = g[2, 70] = 1
+        g = np.vstack([g, g[1:2], BitMatrix.random(rng, 8, 80, 0.05).to_array(),
+                       np.ones((1, 80), dtype=np.uint8)])
+        scheme = build_scheme(BitMatrix(g), BitMatrix.random(rng, 5, 80, 0.3),
+                              SchemeParams(n=80, d=4, u=3))
+        x = BitVector.ones(80)
+        y = encode(scheme, x)
+        assert y == apply_threshold(scheme.t, x, 3)
+        assert blocks(scheme, y)[:3, 0].tolist() == [0, 1, 1]
+
     def test_split_inverts_flatten(self, scheme16):
         scheme, _ = scheme16
         y = encode(scheme, DefectiveSet([1, 8, 13]).to_vector(16))
