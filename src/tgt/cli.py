@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 import time
@@ -278,9 +279,8 @@ def cmd_decode(args) -> int:
         "candidate_counts": {str(j + 1): c for j, c in report.multiset.counts.items()},
         "accepted_blocks": len(report.accepted),
     }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(json.dumps(payload, sort_keys=True))
     return 0
 
@@ -322,12 +322,7 @@ def cmd_simulate(args) -> int:
 def cmd_bench(args) -> int:
     if args.trials < 1:
         raise ParameterError(f"need at least one trial, got {args.trials}")
-    grid = []
-    for n in _int_list(args.n):
-        for d in _int_list(args.d):
-            for u in _int_list(args.u):
-                for e in _int_list(args.e):
-                    grid.append((n, d, u, e))
+    grid = list(itertools.product(*map(_int_list, (args.n, args.d, args.u, args.e))))
     if not grid:
         raise ParameterError("empty benchmark grid")
     rows = []
@@ -387,19 +382,22 @@ def _params_from(args) -> SchemeParams:
     return SchemeParams(n=args.n, d=args.d, u=args.u, e=args.e or 0, p=args.p)
 
 
-def _add_scheme_flags(sub, trials_default: int | None = None):
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--d", type=int)
-    sub.add_argument("--u", type=int)
-    sub.add_argument("--e", type=int, default=None)
+def _add_construction_flags(sub):
+    """The flags of generate_scheme that gen, simulate and bench all take."""
     sub.add_argument("--p", type=float, default=0.0)
     sub.add_argument("--seed", type=_seed, default=0)
     sub.add_argument("--c", type=float, default=3.0)
     sub.add_argument("--c-g", dest="c_g", type=float, default=2.0)
-    sub.add_argument("--max-attempts", type=int, default=50)
     sub.add_argument("--validation-sets", type=int, default=200)
-    if trials_default is not None:
-        sub.add_argument("--trials", type=int, default=trials_default)
+
+
+def _add_scheme_flags(sub):
+    sub.add_argument("--n", type=int)
+    sub.add_argument("--d", type=int)
+    sub.add_argument("--u", type=int)
+    sub.add_argument("--e", type=int, default=None)
+    _add_construction_flags(sub)
+    sub.add_argument("--max-attempts", type=int, default=50)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -446,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     export_t.set_defaults(func=cmd_export_t)
 
     sim = subs.add_parser("simulate", help="randomized encode/flip/decode trials")
-    _add_scheme_flags(sim, trials_default=100)
+    _add_scheme_flags(sim)
+    sim.add_argument("--trials", type=int, default=100)
     sim.add_argument("--bundle", help="existing bundle directory (else generated inline)")
     sim.add_argument("--adversarial", action="store_true",
                      help="place flips against the weakest defective")
@@ -460,27 +459,22 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--d", required=True, help="comma-separated defective bounds")
     bench.add_argument("--u", required=True, help="comma-separated thresholds")
     bench.add_argument("--e", default="0", help="comma-separated error budgets")
-    bench.add_argument("--p", type=float, default=0.0)
-    bench.add_argument("--seed", type=_seed, default=0)
-    bench.add_argument("--c", type=float, default=3.0)
-    bench.add_argument("--c-g", dest="c_g", type=float, default=2.0)
+    _add_construction_flags(bench)
     bench.add_argument("--trials", type=int, default=50)
-    bench.add_argument("--validation-sets", type=int, default=200)
     bench.add_argument("--out")
     bench.set_defaults(func=cmd_bench)
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if getattr(args, "out", None):
             _check_out(args.out, makes_dirs=args.func is cmd_gen)
         return args.func(args)
-    except (ParameterError, ParseError, OSError) as exc:  # OSError: an unwritable output path
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return 3
@@ -490,7 +484,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 5
-    except TgtError as exc:
+    except (TgtError, OSError) as exc:  # OSError: an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bitmat import BitMatrix, BitVector, DefectiveSet, load_matrix, serialize_matrix
+from .bitmat import BitMatrix, BitVector, DefectiveSet, load_matrix, pack_rows, serialize_matrix
 from .constructions import check_memory
 from .errors import DimensionError, ParameterError, ParseError, VerificationError
 from .semantics import SchemeParams
@@ -113,7 +113,7 @@ def encode(scheme: Scheme, x: BitVector) -> BitVector:
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a 0/1 array with columns, and each row's index among them, by
     one void per packed row (copied contiguous for the view); np.unique(axis=0) is 10x slower."""
-    rows = np.ascontiguousarray(np.packbits(a, axis=1)).view(f"V{(a.shape[1] + 7) // 8}").ravel()
+    rows = np.ascontiguousarray(pack_rows(a)).view(f"V{(a.shape[1] + 7) // 8}").ravel()
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     return a[first], inverse
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from tgt import (
     BitMatrix,
+    BitVector,
     DefectiveSet,
     load_bundle,
     load_matrix,
@@ -194,6 +195,20 @@ class TestEncodeDecode:
                       "--y", str(y_path), "--out", str(out_path))
         assert code == 0
         assert json.loads(out_path.read_text())["defectives"] == [1, 16]
+
+    def test_main_builds_no_parser(self, bundle, tmp_path, capsys, monkeypatch):
+        """main parses with the parser built at import, so repeated in-process
+        calls do not rebuild it."""
+        def refuse():
+            raise AssertionError("main built a parser")
+
+        y_path = tmp_path / "y.vec"
+        run(capsys, "encode", "--bundle", str(bundle), "--defectives", "2,9", "--out", str(y_path))
+        monkeypatch.setattr("tgt.cli.build_parser", refuse)
+        outputs = [run(capsys, "decode", "--bundle", str(bundle), "--y", str(y_path))
+                   for _ in range(2)]
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0 and json.loads(outputs[0][1])["defectives"] == [2, 9]
 
     def test_encode_needs_an_input(self, bundle, tmp_path, capsys):
         code, _ = run(capsys, "encode", "--bundle", str(bundle),
@@ -447,6 +462,17 @@ class TestMalformedInput:
         assert main(["decode", "--bundle", str(copy), "--y", str(y_path)]) == 2
         assert f"{name} does not match" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, message", [
+        ("encode", "--x", "item vector has length 5"), ("decode", "--y", "outcome has 5 bits"),
+    ])
+    def test_vector_of_wrong_length(self, bundle, tmp_path, capsys, command, flag, message):
+        path = tmp_path / "short.vec"
+        path.write_bytes(serialize_vector(BitVector.zeros(5)))
+        out = ["--out", str(tmp_path / "y.vec")] if command == "encode" else []
+        assert main([command, "--bundle", str(bundle), flag, str(path), *out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
     def test_encode_missing_item_vector(self, bundle, tmp_path, capsys):
         code, _ = run(capsys, "encode", "--bundle", str(bundle),
                       "--x", str(tmp_path / "missing.vec"), "--out", str(tmp_path / "y.vec"))
@@ -481,13 +507,12 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("key, value", [
         ("h", 999), ("k", 7), ("t", 5), ("e", 3), ("seed", 8), ("c", 2.5), ("c_g", None),
+        ("n", 17),
     ])
     def test_manifest_disagrees_with_matrices(self, bundle, tmp_path, capsys, key, value):
         copy = tmp_path / "b"
         shutil.copytree(bundle, copy)
-        manifest = json.loads((copy / "scheme.json").read_text())
-        manifest[key] = value
-        (copy / "scheme.json").write_text(json.dumps(manifest))
+        rewrite_manifest(copy, lambda manifest: manifest.update({key: value}))
         code = main(["decode", "--bundle", str(copy), "--y", str(tmp_path / "y.vec")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -584,7 +609,8 @@ class TestMalformedInput:
         ["gen", "--n", "16", "--d", "3", "--u", "2", "--seed", "-1", "--out", "{dir}/b"],
         ["simulate", "--bundle", "{bundle}", "--trials", "1", "--seed", "-1"],
         ["verify", "{bundle}/M.mat", "--d", "2", "--mode", "sampled", "--seed", "-1"],
-    ], ids=["gen", "simulate", "verify"])
+        ["bench", "--n", "16", "--d", "3", "--u", "2", "--seed", "x"],
+    ], ids=["gen", "simulate", "verify", "bench-not-an-integer"])
     def test_negative_seed(self, bundle, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main([a.format(bundle=bundle, dir=tmp_path) for a in argv])
