@@ -22,7 +22,7 @@ Disjunctness is checked on packed column bitsets: each column's rows are
 uint64 words, and one kernel tests a whole batch of subsets S1 at once by
 ANDing every candidate column with the complement of the batch's unions,
 word by word.  Batches of lexicographic subsets (exhaustive) or of
-permutation draws (sampled) replace one Python step per subset or draw;
+(j, S1) draws (sampled) replace one Python step per subset or draw;
 certificates, witnesses and generator states equal the step-by-step walk.
 """
 
@@ -176,10 +176,10 @@ def verify_disjunct(
     and checks that every column outside S1 is isolated by some row that
     misses S1 entirely; `trials` counts the (S1, j) pairs checked up to
     and including the first failing subset, whose lowest non-isolated
-    column is the witness.  Sampled mode draws `trials` (S1, j) pairs, one
-    `rng.permutation(cols)` each (j first, then S1), and stops at the first
-    violation, leaving `rng` just past that draw; it can only ever certify
-    "no violation found in `trials` draws".
+    column is the witness.  Sampled mode draws `trials` uniform (S1, j) pairs,
+    d + 1 distinct columns each (j, then S1) from one `rng.integers` draw
+    of ranks, and stops at the first violation, leaving `rng` just past that
+    draw; it can only ever certify "no violation found in `trials` draws".
     """
     n = m.cols
     if d < 1 or d >= n:
@@ -217,18 +217,21 @@ def verify_disjunct(
         return DisjunctCertificate(d, True, mode, math.comb(n, d) * (n - d))
 
     gen = rng if rng is not None else np.random.default_rng(0)
-    items = np.arange(n)
+    bounds = n - np.arange(d + 1)  # column i: a rank among the n - i items not yet picked
     for start in range(0, trials, batch):
         draws = min(batch, trials - start)
         state = gen.bit_generator.state
-        perms = gen.permuted(np.broadcast_to(items, (draws, n)), axis=1)
-        s1, j = perms[:, 1 : d + 1], perms[:, 0]
+        picks = gen.integers(0, bounds, size=(draws, d + 1))
+        for i in range(1, d + 1):  # shift rank i past each earlier pick, ascending
+            for earlier in np.sort(picks[:, :i], axis=1).T:
+                picks[:, i] += picks[:, i] >= earlier
+        s1, j = picks[:, 1:], picks[:, 0]
         isolated = _uncovered(cols, s1, cols[j][:, None, :])[:, 0]
         if not isolated.all():
             t = int(np.argmin(isolated))
             # Redraw up to the failing draw, so rng ends where a draw-by-draw loop would.
             gen.bit_generator.state = state
-            gen.permuted(np.broadcast_to(items, (t + 1, n)), axis=1)
+            gen.integers(0, bounds, size=(t + 1, d + 1))
             witness = (tuple(sorted(int(i) for i in s1[t])), int(j[t]))
             return DisjunctCertificate(d, False, mode, start + t + 1, witness)
     return DisjunctCertificate(d, True, mode, trials)
@@ -344,7 +347,7 @@ def is_good_for(g: BitMatrix, dset: DefectiveSet, u: int, e: int) -> GoodnessRep
 
 
 def _sample_defective_set(rng: np.random.Generator, n: int, size: int) -> DefectiveSet:
-    """`size` distinct items drawn uniformly from n: the one defective-set sampler."""
+    """`size` distinct items drawn uniformly from n, as validate_good draws each set."""
     return DefectiveSet(rng.choice(n, size=size, replace=False).tolist())
 
 
@@ -356,16 +359,32 @@ def validate_good(
     budget_e: int,
 ) -> dict:
     """Sample defective sets of every cardinality in [u, d] and run the
-    fixed-D checker at the given budget.  Returns a summary dict; the
-    "failure" entry holds the first failing (cardinality, items) pair."""
+    fixed-D check at the given budget, one count per batch of sets.  Returns
+    a summary dict; "failure" holds the first failing (cardinality, items)."""
     _check_at_least("sets per cardinality", sets_per_cardinality, 1)
-    sets = (
-        _sample_defective_set(rng, params.n, size)
-        for size in range(params.u, params.d + 1)
-        for _ in range(sets_per_cardinality)
-    )
-    # Drawn lazily: the generator stops just past the first failing set.
-    failed = next((s for s in sets if not is_good_for(g, s, params.u, budget_e).is_good), None)
+    if g.cols < params.n:
+        raise ParameterError(f"G has {g.cols} columns, fewer than n={params.n}")
+    items = np.ascontiguousarray(g.to_array().T)  # (n, h): each item's rows, contiguous
+    # Sets per batch: the (B, size, h) gather, its masked copy and the (B, h) row sums.
+    batch = max(1, _CHUNK_BYTES // (g.rows * (2 * params.d + 9)))
+    batches = ((size, min(batch, sets_per_cardinality - start))
+               for size in range(params.u, params.d + 1)
+               for start in range(0, sets_per_cardinality, batch))
+    failed = None
+    for size, draws in batches:  # each set one rng.choice call, as set by set
+        state = rng.bit_generator.state
+        sets = np.array([rng.choice(params.n, size, replace=False) for _ in range(draws)])
+        sub = items[sets]
+        qualifying = sub.sum(axis=1, keepdims=True) == params.u
+        good = ((sub & qualifying).sum(axis=2) > budget_e).all(axis=1)
+        if not good.all():
+            t = int(np.argmin(good))
+            # Redraw up to the failing set, so rng ends where a set-by-set walk would.
+            rng.bit_generator.state = state
+            for _ in range(t + 1):
+                rng.choice(params.n, size, replace=False)
+            failed = DefectiveSet(sets[t].tolist())
+            break
     return {
         "passed": failed is None,
         "sets_per_cardinality": sets_per_cardinality,

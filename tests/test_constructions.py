@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from itertools import combinations
 from unittest.mock import patch
 
@@ -111,17 +112,43 @@ def reference_exhaustive(m: BitMatrix, d: int) -> constructions.DisjunctCertific
     return constructions.DisjunctCertificate(d, True, "exhaustive", checked)
 
 
+def reference_draw(n: int, d: int, gen: np.random.Generator) -> list[int]:
+    """d + 1 distinct items, one `integers` call per draw: the i-th rank
+    indexes the items not picked before it, in ascending order."""
+    picked = []
+    for rank in gen.integers(0, n - np.arange(d + 1)):
+        picked.append([i for i in range(n) if i not in picked][rank])
+    return picked
+
+
 def reference_sampled(m: BitMatrix, d: int, trials: int, gen: np.random.Generator):
     """The per-draw loop verify_disjunct's sampled mode replaced."""
     a = m.to_array()
     for t in range(trials):
-        perm = gen.permutation(m.cols)
-        j = int(perm[0])
-        s1 = tuple(sorted(int(i) for i in perm[1 : d + 1]))
+        draw = reference_draw(m.cols, d, gen)
+        j = draw[0]
+        s1 = tuple(sorted(draw[1:]))
         zero_rows = ~a[:, s1].any(axis=1)
         if not a[zero_rows, j].any():
             return constructions.DisjunctCertificate(d, False, "sampled", t + 1, (s1, j))
     return constructions.DisjunctCertificate(d, True, "sampled", trials)
+
+
+def sampled_pairs(n: int, d: int, trials: int, seed: int) -> np.ndarray:
+    """The (j, S1) rows sampled mode checks on the identity, read off the
+    kernel's arguments (j from its packed column) and all let pass."""
+    drawn = []
+
+    def record(cols, s1, cand):
+        j = np.unpackbits(cand[:, 0].view(np.uint8), axis=1, bitorder="little").argmax(axis=1)
+        drawn.append(np.column_stack([j, s1]))
+        return np.ones((len(s1), 1), bool)
+
+    with patch.object(constructions, "_uncovered", record):
+        cert = verify_disjunct(BitMatrix.identity(n), d, mode="sampled", trials=trials,
+                               rng=np.random.default_rng(seed))
+    assert cert.verified and cert.trials == trials
+    return np.concatenate(drawn)
 
 
 # Chunk sizes in bytes: the default, one subset or draw per chunk, and a few per chunk.
@@ -165,19 +192,38 @@ class TestVerifyDisjunctReference:
 
     @pytest.mark.parametrize("n", [2, 3, 16, 33, 1024])
     @pytest.mark.parametrize("b", [1, 2, 7])
-    def test_batched_permutations_match_sequential_draws(self, n, b):
-        """Sampled mode draws b permutations per call to `permuted`; the
-        stream must equal b calls to `permutation`, generator state included."""
-        gen, ref_gen = np.random.default_rng(5), np.random.default_rng(5)
-        batched = gen.permuted(np.broadcast_to(np.arange(n), (b, n)), axis=1)
-        sequential = np.stack([ref_gen.permutation(n) for _ in range(b)])
-        assert (batched == sequential).all()
-        assert gen.bit_generator.state == ref_gen.bit_generator.state
+    def test_batched_draws_match_sequential_draws(self, n, b):
+        """Sampled mode draws the ranks of b (j, S1) pairs in one `integers`
+        call; the stream must equal b per-draw calls, generator state included."""
+        for d in sorted({1, min(4, n - 1), n - 1}):
+            bounds = n - np.arange(d + 1)
+            gen, ref_gen = np.random.default_rng(5), np.random.default_rng(5)
+            batched = gen.integers(0, bounds, size=(b, d + 1))
+            sequential = np.stack([ref_gen.integers(0, bounds) for _ in range(b)])
+            assert (batched == sequential).all()
+            assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    @pytest.mark.parametrize("n,d", [(2, 1), (3, 2), (7, 2), (16, 4), (33, 32), (1024, 5)])
+    def test_drawn_pairs_are_distinct_and_in_range(self, n, d):
+        """Every drawn (j, S1), n = d + 1 included, is d + 1 distinct columns."""
+        pairs = sampled_pairs(n, d, 300, seed=n)
+        assert pairs.shape == (300, d + 1) and pairs.min() >= 0 and pairs.max() < n
+        assert all(len(set(row)) == d + 1 for row in pairs.tolist())
+
+    def test_drawn_pairs_are_uniform(self):
+        """All 7 * C(6, 2) = 105 (j, S1) pairs at n=7, d=2 over 105,000 draws:
+        the chi-square statistic stays below its 0.9999 quantile at 104
+        degrees of freedom, 166.36."""
+        pairs = sampled_pairs(7, 2, 105_000, seed=2)
+        keys = pairs[:, 0] * 49 + np.sort(pairs[:, 1:], axis=1) @ [7, 1]
+        counts = np.unique(keys, return_counts=True)[1]
+        assert len(counts) == 105
+        assert ((counts - 1000) ** 2 / 1000).sum() < 166.36
 
     def test_failure_past_first_chunk(self):
-        # Fails at subset 492 and at draw 957; 4096 bytes hold 13 per chunk here.
+        # Fails at subset 492 and at draw 640; 4096 bytes hold 13 per chunk here.
         m = BitMatrix.random(np.random.default_rng(36), 60, 16, 1 / 6)
-        for mode, failing in (("exhaustive", 492 * 12), ("sampled", 957)):
+        for mode, failing in (("exhaustive", 492 * 12), ("sampled", 640)):
             gen, ref_gen = np.random.default_rng(1), np.random.default_rng(1)
             with patch.object(constructions, "_CHUNK_BYTES", 4096):
                 cert = verify_disjunct(m, 4, mode=mode, rng=gen)
@@ -218,11 +264,9 @@ CONSTRUCT_PINS = {
     ),
     "sampled": (
         (400, 2, 10, 0.9),
-        [(2401, ((253, 275, 338), 150)), (1342, ((47, 169, 193), 42)),
-         (7340, ((236, 292, 390), 20)), (9684, ((135, 176, 342), 141)),
-         (15892, ((15, 52, 136), 144)), (20000, None)],
-        "dcb512cd9368d9ec859baf10cc913c591d57c47754ecf2a713712d5d8ee57b58",
-        6263823584707872862,
+        [(3674, ((23, 47, 111), 181)), (20000, None)],
+        "21f086a7691212aaee061a8a7813b741034ca1521bdd64ead89b7c5a21786325",
+        6526795931739930042,
     ),
 }
 
@@ -441,6 +485,11 @@ class TestConstructGood:
         with pytest.raises(ParameterError):
             validate_good(g, params, np.random.default_rng(0), sets, 0)
 
+    def test_validation_needs_every_item(self):
+        params = SchemeParams(n=16, d=3, u=2, e=0, p=0.5)
+        with pytest.raises(ParameterError):
+            validate_good(BitMatrix.ones(4, 15), params, np.random.default_rng(0), 5, 0)
+
     def test_failure_stops_at_first_failing_set(self):
         # All-ones rows are good for every 2-set and for no 3-set.
         params = SchemeParams(n=16, d=3, u=2, e=0, p=0.5)
@@ -455,9 +504,10 @@ class TestConstructGood:
         }
         assert rng.integers(2**63) == reference.integers(2**63)
 
+    @pytest.mark.parametrize("chunk", CHUNKS)
     @settings(max_examples=80, deadline=None)
     @given(st.data())
-    def test_validate_matches_reference(self, data):
+    def test_validate_matches_reference(self, chunk, data):
         n = data.draw(st.integers(4, 9), label="n")
         d = data.draw(st.integers(2, n - 1), label="d")
         u = data.draw(st.integers(2, d), label="u")
@@ -472,10 +522,36 @@ class TestConstructGood:
             g = BitMatrix(np.array(bits, dtype=np.uint8).reshape(rows, n))
         params = SchemeParams(n=n, d=d, u=u)
         rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        result = validate_good(g, params, rng, sets, budget)
+        with patch.object(constructions, "_CHUNK_BYTES", chunk):
+            result = validate_good(g, params, rng, sets, budget)
         failure = validate_good_reference(g, params, reference, sets, budget)
         assert (result["passed"], result["failure"]) == (failure is None, failure)
         assert rng.integers(2**63) == reference.integers(2**63)
+
+    def test_validation_memory_is_bounded(self):
+        """Sets are counted in batches of about _CHUNK_BYTES, so peak memory
+        does not grow with the number of sets (all 3000 at once: ~0.8 MB)."""
+        g = weight_u_matrix(12, 2)  # 66 rows, good at budget 0
+        params = SchemeParams(n=12, d=4, u=2)
+        with patch.object(constructions, "_CHUNK_BYTES", 1 << 14):
+            tracemalloc.start()
+            try:
+                assert validate_good(g, params, np.random.default_rng(0), 3000, 0)["passed"]
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 4 << 14
+
+    def test_locator_validated_at_twice_e(self):
+        """At seed 3 the first candidate passes its sample at budget e but
+        not at 2e, the budget the decoder's e-flip guarantee needs."""
+        params = SchemeParams(n=16, d=3, u=2, e=1, p=0.5)
+        with pytest.raises(ConstructionError, match="in 1 attempts"):
+            construct_good(params, np.random.default_rng(3), max_attempts=1)
+        inner = constructions.validate_good
+        with patch.object(constructions, "validate_good",
+                          lambda g, p, rng, sets, budget: inner(g, p, rng, sets, budget // 2)):
+            construct_good(params, np.random.default_rng(3), max_attempts=1)
 
     @pytest.mark.parametrize("attempts", [0, -2])
     def test_needs_an_attempt(self, attempts):

@@ -64,8 +64,8 @@ VERIFY_PAYLOADS = {
     }),
     "d8-sampled": (["--d", "8", "--mode", "sampled", "--trials", "20000", "--seed", "3"], 4, {
         "check": "disjunct", "d": 8, "kind": "disjunct", "method": "sampled",
-        "trials": 7500, "verified": False,
-        "witness": {"column": 5, "s1": [2, 3, 4, 7, 8, 10, 15, 16]},
+        "trials": 3967, "verified": False,
+        "witness": {"column": 5, "s1": [2, 3, 4, 7, 8, 9, 10, 16]},
     }),
     "d6-sampled": (["--d", "6", "--mode", "sampled", "--trials", "20000", "--seed", "3"], 0, {
         "check": "disjunct", "d": 6, "kind": "disjunct", "method": "sampled",
