@@ -62,16 +62,29 @@ class _Bits:
         a.flags.writeable = False
         object.__setattr__(self, "_a", a)
 
+    @classmethod
+    def _adopt(cls, a: np.ndarray):
+        """Take over a fresh nonempty bool array (0/1 by dtype) without __init__'s
+        copy or check; it is frozen and stored as its uint8 view, so keep no other use."""
+        if a.dtype != bool:
+            raise TypeError(f"expected bool data, got {a.dtype}")
+        if a.ndim != cls._ndim or a.size == 0:
+            raise DimensionError(f"expected nonempty {cls._ndim}-d data, got shape {a.shape}")
+        a.flags.writeable = False
+        bits = object.__new__(cls)
+        object.__setattr__(bits, "_a", a.view(np.uint8))
+        return bits
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zeros(cls, *shape: int):
-        return cls(np.zeros(shape, dtype=np.uint8))
+        return cls._adopt(np.zeros(shape, dtype=bool))
 
     @classmethod
     def ones(cls, *shape: int):
-        return cls(np.ones(shape, dtype=np.uint8))
+        return cls._adopt(np.ones(shape, dtype=bool))
 
     def to_array(self) -> np.ndarray:
         return self._a
@@ -280,7 +293,7 @@ def load_matrix(data: bytes) -> tuple[BitMatrix, str, dict]:
     if not isinstance(params, dict):
         raise ParseError("params field must be a JSON object")
     bits = _unpack_bits(payload, rows * cols)
-    return BitMatrix(bits.reshape(rows, cols)), kind, params
+    return BitMatrix._adopt(bits.view(bool).reshape(rows, cols)), kind, params
 
 
 def serialize_vector(v: BitVector) -> bytes:
@@ -290,4 +303,4 @@ def serialize_vector(v: BitVector) -> bytes:
 def deserialize_vector(data: bytes) -> BitVector:
     fields, payload = _split_file(data, _MAGIC_VEC, 3)
     n = _parse_int_field(fields[0], "len")
-    return BitVector(_unpack_bits(payload, n))
+    return BitVector._adopt(_unpack_bits(payload, n).view(bool))

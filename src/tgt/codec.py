@@ -15,13 +15,13 @@ copies it to the rows that share it.  When that restriction has weight
 exactly u, the three recovery rules turn the pair of threshold outcome blocks
 into the boolean-OR outcome of M, which the cover decoder inverts exactly.
 Blocks whose restriction has a different weight are screened out by the size
-and OR-consistency checks; the decoder also keeps per-item occurrence counts
-so that up to e erroneous outcomes can be outvoted (an error corrupts at most
-one block, so a frequency threshold of e+1 separates true items from
-fabricated ones).  The distinct recovered outcomes of the positive blocks are
-decoded together by the cover rule, written once in `_survivors` (first on
-M's first rows, then in full on the columns that pass), and each decision
-goes to every block with that outcome.
+and OR-consistency checks; per-item occurrence counts outvote up to e
+erroneous outcomes (an error corrupts at most one block, so a frequency
+threshold of e+1 separates true items from fabricated ones).  The distinct
+recovered outcomes of the positive blocks are decoded together by the cover
+rule, written once in `_survivors` (first on M's first rows, then in full on
+the columns that pass), and each decision goes to every block with that
+outcome.  Both dedupes key each row by one uint64 (`_distinct_rows`).
 
 A bundle is the files of `_bundle_files`: G.mat, M.mat and the
 scheme.json manifest, each a function of G, M, the parameters, seed, c,
@@ -107,14 +107,25 @@ def encode(scheme: Scheme, x: BitVector) -> BitVector:
     distinct, inverse = _distinct_rows(scheme.g.to_array()[:, support])
     pattern = _block_pattern(scheme.m.to_array()[:, support].astype(np.float32))
     outcomes = distinct.astype(np.float32) @ pattern.T >= scheme.params.u
-    return BitVector(outcomes[inverse].reshape(-1))
+    return BitVector._adopt(outcomes[inverse].reshape(-1))
+
+
+_KEY_MULTIPLIERS = np.arange(1, 128, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
 
 
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a 0/1 array with columns, and each row's index among them, by
-    one void per packed row (copied contiguous for the view); np.unique(axis=0) is 10x slower."""
-    rows = np.ascontiguousarray(pack_rows(a)).view(f"V{(a.shape[1] + 7) // 8}").ravel()
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    """The distinct rows of a 0/1 array with columns, and each row's index among them, by one
+    uint64 key per packed row: the row itself up to 64 bits, else its 64-bit words times the odd
+    _KEY_MULTIPLIERS (cycled) summed and checked word for word; only a collision sorts voids."""
+    packed = pack_rows(a)
+    words = np.zeros((a.shape[0], -(-packed.shape[1] // 8)), dtype=np.uint64)
+    words.view(np.uint8)[:, : packed.shape[1]] = packed
+    wide = words.shape[1] > 1
+    keys = words @ np.resize(_KEY_MULTIPLIERS, words.shape[1]) if wide else words[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    if wide and not (words[first][inverse] == words).all():
+        rows = np.ascontiguousarray(packed).view(f"V{packed.shape[1]}").ravel()
+        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     return a[first], inverse
 
 
@@ -218,6 +229,7 @@ class DecodeReport:
 # every non-defective column within a few dozen negative rows; over the
 # distinct outcomes at n=1024, 48-128 rows time within 12% of each other.
 _SCREEN_ROWS = 64
+_REASONS = np.array(["negative", "overflow", "size", "or-mismatch", "accepted"], dtype=object)
 
 
 def decode_blocks(scheme: Scheme, y: BitVector) -> DecodeReport:
@@ -252,18 +264,18 @@ def decode_blocks(scheme: Scheme, y: BitVector) -> DecodeReport:
     picks = np.nonzero(alive[sized])[1].reshape(-1, u)
     consistent = (sub[:, picks].max(axis=2).T == distinct[sized]).all(axis=1)
 
-    decided = np.where(sizes > scheme.params.d + 1, "overflow", "size").astype("<U11")
-    decided[sized] = np.where(consistent, "accepted", "or-mismatch")
-    reasons = np.full(h, "negative", dtype="<U11")
-    reasons[positive] = decided[inverse]
-    taken = (decided == "accepted")[inverse]
+    decided = np.where(sizes > scheme.params.d + 1, 1, 2)  # codes into _REASONS
+    decided[sized] = np.where(consistent, 4, 3)
+    codes = np.zeros(h, dtype=np.intp)
+    codes[positive] = decided[inverse]
+    taken = (decided == 4)[inverse]
     rank = np.cumsum(sized) - 1  # row of each sized distinct outcome in picks
     accepted, items = positive[taken], cols[picks[rank[inverse[taken]]]]
     votes = np.bincount(items.ravel(), minlength=scheme.params.n)
     voted = np.flatnonzero(votes)
     multiset = CandidateMultiset(dict(zip(voted.tolist(), votes[voted].tolist())))
     items_of = dict(zip(accepted.tolist(), map(tuple, items.tolist())))
-    return DecodeReport(tuple(reasons.tolist()), items_of, multiset)
+    return DecodeReport(tuple(_REASONS[codes].tolist()), items_of, multiset)
 
 
 def adversarial_flip_positions(scheme: Scheme, x: BitVector, e: int) -> tuple[int, ...]:

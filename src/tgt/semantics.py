@@ -77,6 +77,6 @@ def flip_positions(y: BitVector, positions) -> BitVector:
     pos = np.asarray(sorted(set(int(i) for i in positions)), dtype=np.int64)
     if pos.size and (pos[0] < 0 or pos[-1] >= len(y)):
         raise ParameterError("flip position out of range")
-    flipped = y.to_array().copy()
-    flipped[pos] ^= 1
-    return BitVector(flipped)
+    flipped = y.to_array().astype(bool)
+    flipped[pos] ^= True
+    return BitVector._adopt(flipped)

@@ -90,6 +90,38 @@ class TestBitTypes:
             DefectiveSet([2, 5]).to_vector(5)
 
 
+class TestAdopt:
+    """_adopt takes over a fresh bool array without the copy __init__ makes."""
+
+    @pytest.mark.parametrize("cls, data, error", [
+        (BitVector, np.array([0, 1], dtype=np.uint8), TypeError),
+        (BitVector, np.array([0, 1]), TypeError),
+        (BitMatrix, np.array([[0.0, 1.0]]), TypeError),
+        (BitVector, np.zeros((2, 2), dtype=bool), DimensionError),
+        (BitMatrix, np.zeros(3, dtype=bool), DimensionError),
+        (BitVector, np.zeros(0, dtype=bool), DimensionError),
+        (BitMatrix, np.zeros((0, 3), dtype=bool), DimensionError),
+    ])
+    def test_rejects_non_bool_wrong_rank_and_empty(self, cls, data, error):
+        with pytest.raises(error):
+            cls._adopt(data)
+
+    @given(bit_matrices)
+    def test_equals_and_hashes_like_a_checked_copy(self, a):
+        for cls, data in ((BitMatrix, a), (BitVector, a.ravel())):
+            adopted, copied = cls._adopt(data.astype(bool)), cls(data)
+            assert adopted == copied and hash(adopted) == hash(copied)
+            assert repr(adopted) == repr(copied)
+            assert adopted.to_array().dtype == np.uint8
+            assert adopted.to_array().flags.writeable is False
+
+    def test_adopted_bits_cannot_be_written(self):
+        for bits in (BitVector.zeros(4), BitMatrix.ones(2, 3),
+                     BitVector._adopt(np.array([True, False]))):
+            with pytest.raises(ValueError):
+                bits.to_array().flat[0] = 1
+
+
 class TestSerialization:
     def test_packed_layout_lsb_first(self):
         # flat bits (1,0,1,0,1,1) -> byte 0b00110101 = 0x35, then zero pad
