@@ -521,56 +521,14 @@ class TestDistinctRows:
     @given(st.integers(1, 200), st.integers(1, 30), st.integers(0, 60),
            st.sampled_from([0.01, 0.1, 0.5]), st.integers(0, 2**32 - 1))
     def test_exact_on_repeated_rows(self, cols, kinds, rows, density, seed):
-        """Rows drawn from `kinds` random rows, sparse ones included, so
-        rows that differ often agree on their first 64-bit word."""
+        """Rows drawn from `kinds` random rows, sparse ones included, on
+        both sides of the 64-bit key: one uint64 word, else one void."""
         rng = np.random.default_rng(seed)
         base = (rng.random((kinds, cols)) < density).astype(np.uint8)
         a = base[rng.integers(0, kinds, size=rows)]
         distinct, inverse = codec._distinct_rows(a)
         assert np.array_equal(distinct[inverse], a)
         assert len(distinct) == len(np.unique(a, axis=0))
-
-    def test_forced_collisions_fall_back_to_void_rows(self, request, monkeypatch):
-        """With every multiplier zero, all rows wider than 64 bits share one
-        key; the word-for-word check must catch it and sort void rows."""
-        rng = np.random.default_rng(26)
-        wide = build_scheme(BitMatrix.random(rng, 40, 80, 0.5), BitMatrix.random(rng, 6, 80, 0.3),
-                            SchemeParams(n=80, d=4, u=3))
-        cases = [(wide, BitVector.ones(80), None)]  # encode keys 80-bit rows
-        for scheme in (request.getfixturevalue(name)[0] for name in ("scheme16", "scheme32")):
-            n, d = scheme.params.n, scheme.params.d
-            for _ in range(30):
-                x = DefectiveSet(rng.choice(n, size=int(rng.integers(0, d + 2)), replace=False))
-                cases.append((scheme, x.to_vector(n), None))
-            for rate in (0.05, 0.5, 0.9):
-                cases.append((scheme, None, BitVector(rng.random(scheme.tests) < rate)))
-
-        def run():
-            out = []
-            for scheme, x, y in cases:
-                y = encode(scheme, x) if y is None else y
-                report = decode_blocks(scheme, y)
-                out.append((y, report, list(report.accepted.items())))
-            return out
-
-        collide = []  # per call: rows wider than 64 bits in two or more groups
-        distinct_rows = codec._distinct_rows
-
-        def spy(a):
-            distinct, inverse = distinct_rows(a)
-            collide.append(a.shape[1] > 64 and len(distinct) > 1)
-            return distinct, inverse
-
-        monkeypatch.setattr(codec, "_distinct_rows", spy)
-        expected = run()
-        voids, unique = [], np.unique
-        monkeypatch.setattr(np, "unique", lambda a, **kw: voids.append(a.dtype.kind == "V")
-                            or unique(a, **kw))
-        monkeypatch.setattr(codec, "_KEY_MULTIPLIERS", np.zeros(64, dtype=np.uint64))
-        collide.clear()
-        assert run() == expected
-        assert sum(voids) == sum(collide) >= 20
-        assert encode(wide, BitVector.ones(80)) == apply_threshold(wide.t, BitVector.ones(80), 3)
 
 
 class TestOutputsAreFrozen:
