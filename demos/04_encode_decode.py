@@ -5,12 +5,10 @@ import numpy as np
 from tgt import (
     BitVector,
     DefectiveSet,
-    Scheme,
     apply_threshold,
-    construct_disjunct,
-    construct_good,
     decode_blocks,
     encode,
+    generate_scheme,
     recover_yprime,
 )
 from tgt.semantics import SchemeParams
@@ -18,11 +16,15 @@ from tgt.semantics import SchemeParams
 rng = np.random.default_rng(7)
 params = SchemeParams(n=32, d=4, u=2, e=0, p=0.65)
 
-m, cert = construct_disjunct(params.n, params.d, rng)
-g = construct_good(params, rng)
-scheme = Scheme(params, g, m)
+# One call builds and certifies both matrices from one seed: the solver
+# matrix M, (d+1)-disjunct, and the locator matrix G, validated on sampled
+# defective sets and then on a held-out batch.
+
+scheme, cert, validation = generate_scheme(params, seed=7)
 print(f"scheme: h={scheme.h} locator rows, k={scheme.k} solver rows, "
       f"t={scheme.tests} tests = (2k+1)h")
+print(f"M certified {cert.d}-disjunct ({cert.method}, {cert.trials} checks); G passed "
+      f"{validation['sets_per_cardinality']} held-out sets per cardinality")
 
 # Hide some defectives and observe the outcomes: one flat vector with a
 # block [y_i, y-block, ybar-block] of 2k+1 bits per locator row i.

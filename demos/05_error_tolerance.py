@@ -4,13 +4,11 @@ import numpy as np
 
 from tgt import (
     DefectiveSet,
-    Scheme,
     adversarial_flip_positions,
-    construct_disjunct,
-    construct_good,
     decode_blocks,
     encode,
     flip_positions,
+    generate_scheme,
     inject_errors,
 )
 from tgt.semantics import SchemeParams
@@ -24,9 +22,7 @@ from tgt.semantics import SchemeParams
 e = 2
 rng = np.random.default_rng(3)
 params = SchemeParams(n=32, d=4, u=2, e=e, p=0.71)
-m, _ = construct_disjunct(params.n, params.d, rng)
-g = construct_good(params, rng)
-scheme = Scheme(params, g, m)
+scheme, _, _ = generate_scheme(params, seed=3)
 print(f"scheme certified for e={e}: h={scheme.h}, k={scheme.k}, t={scheme.tests}")
 
 truth = DefectiveSet(rng.choice(32, size=4, replace=False).tolist())

@@ -4,12 +4,10 @@ import numpy as np
 
 from tgt import (
     DefectiveSet,
-    Scheme,
     brute_force_decode,
-    construct_disjunct,
-    construct_good,
     decode_blocks,
     encode,
+    generate_scheme,
     inject_errors,
 )
 from tgt.semantics import SchemeParams
@@ -21,9 +19,7 @@ from tgt.semantics import SchemeParams
 
 rng = np.random.default_rng(5)
 params = SchemeParams(n=12, d=3, u=2, e=1, p=0.7)
-m, _ = construct_disjunct(params.n, params.d, rng)
-g = construct_good(params, rng)
-scheme = Scheme(params, g, m)
+scheme, _, _ = generate_scheme(params, seed=5)
 print(f"scheme: t={scheme.tests} tests on n={params.n} items")
 
 truth = DefectiveSet([2, 5, 9])

@@ -24,6 +24,7 @@ from .codec import (
     cover_decode,
     decode_blocks,
     encode,
+    generate_scheme,
     load_bundle,
     recover_yprime,
     save_bundle,
@@ -69,7 +70,7 @@ __all__ = [
     "disjunct_row_count", "good_row_count",
     "build_scheme", "encode", "recover_yprime", "cover_decode",
     "decode_blocks", "adversarial_flip_positions",
-    "save_bundle", "load_bundle",
+    "generate_scheme", "save_bundle", "load_bundle",
     "brute_force_decode",
     "TgtError", "DimensionError", "ParameterError", "ParseError",
     "BudgetError", "ConstructionError", "VerificationError",

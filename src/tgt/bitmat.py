@@ -10,8 +10,8 @@ headers of matrix and vector files.
 
 Index convention: everything in memory is 0-based.  Item and test indices
 are 1-based in reports and CLI output: ``DefectiveSet.to_one_based`` converts,
-and ``DisjunctCertificate.to_json``, ``cli.cmd_verify``, ``cli.run_trials``
-and ``cli.cmd_decode`` add 1 by hand.
+and the ``to_json`` of ``DisjunctCertificate`` and ``ThresholdDisjunctReport``,
+``cli.run_trials`` and ``cli.cmd_decode`` add 1 by hand.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Command-line front end: generation, verification, and experiment harness.
 
-Subcommands: gen, verify, encode, decode, export-t, simulate, bench.
+Subcommands: gen, verify, encode, decode, export-t, simulate, bench; gen,
+simulate and bench build their schemes with the library's `codec.generate_scheme`.
 Exit codes: 0 success, 2 usage or malformed input, 3 construction
 failure, 4 verification failure (also a bundle whose stored certificate
 or validation did not pass), 5 work budget exceeded.
@@ -36,16 +37,18 @@ from .codec import (
     adversarial_flip_positions,
     decode_blocks,
     encode,
+    generate_scheme,
     load_bundle,
     read_file,
     save_bundle,
 )
 from .constructions import (
+    DEFAULT_ATTEMPTS,
+    DEFAULT_C,
+    DEFAULT_C_G,
     DEFAULT_SAMPLED_TRIALS,
+    DEFAULT_VALIDATION_SETS,
     _sample_defective_set,
-    construct_disjunct,
-    construct_good,
-    validate_good,
     verify_disjunct,
     verify_threshold_disjunct,
 )
@@ -63,27 +66,6 @@ _CSV_COLUMNS = [
     "trial", "size", "defectives", "flips", "decoded", "exact",
     "accepted_blocks", "false_accept_blocks", "h", "k", "t",
 ]
-
-
-def generate_scheme(params: SchemeParams, seed: int, c: float, c_g: float,
-                    max_attempts: int = 50, validation_sets: int = 200) -> tuple[Scheme, dict, dict]:
-    """Construct and certify both matrices; deterministic in the seed.
-    A G that fails its held-out validation raises VerificationError."""
-    seed_m, seed_g, seed_v = np.random.SeedSequence(seed).spawn(3)
-    m, cert = construct_disjunct(
-        params.n, params.d, np.random.default_rng(seed_m), max_attempts=max_attempts, c=c
-    )
-    g = construct_good(
-        params, np.random.default_rng(seed_g), max_attempts=max_attempts,
-        validation_sets=validation_sets, c_g=c_g,
-    )
-    validation = validate_good(
-        g, params, np.random.default_rng(seed_v), validation_sets, 2 * params.e
-    )
-    if not validation["passed"]:
-        raise VerificationError(f"G is not good at budget {2 * params.e} for held-out "
-                                f"defective set {validation['failure']['items']}")
-    return Scheme(params, g, m), cert.to_json(), validation
 
 
 def _resolve_e(requested: int | None, certified_e: int) -> int:
@@ -191,11 +173,9 @@ def _check_out(out: str, makes_dirs: bool) -> None:
 
 
 def cmd_gen(args) -> int:
-    scheme, cert, validation = generate_scheme(
-        _params_from(args), args.seed, args.c, args.c_g,
-        max_attempts=args.max_attempts, validation_sets=args.validation_sets,
-    )
-    save_bundle(args.out, scheme, args.seed, args.c, args.c_g, cert, validation)
+    scheme, cert, validation = generate_scheme(_params_from(args), args.seed, args.c, args.c_g,
+                                               args.max_attempts, args.validation_sets)
+    save_bundle(args.out, scheme, args.seed, args.c, args.c_g, cert.to_json(), validation)
     print(json.dumps({
         "bundle": str(args.out), "h": scheme.h, "k": scheme.k, "t": scheme.tests,
     }, sort_keys=True))
@@ -207,34 +187,21 @@ def cmd_verify(args) -> int:
     if args.check == "disjunct":
         if args.d is None:
             raise ParameterError("--d is required for the disjunct check")
-        cert = verify_disjunct(
+        report = verify_disjunct(
             matrix, args.d, mode=args.mode, trials=args.trials,
             rng=np.random.default_rng(args.seed),
         )
-        payload = {"path": args.path, "kind": kind, "check": "disjunct", **cert.to_json()}
-        verified = cert.verified
     else:
         if args.d is None or args.u is None:
             raise ParameterError("--d and --u are required for the threshold check")
         report = verify_threshold_disjunct(matrix, args.d, args.u, args.e)
-        payload = {
-            "path": args.path, "kind": kind, "check": "threshold",
-            "d": args.d, "u": args.u, "e": args.e,
-            "verified": report.passed, "min_count": report.min_count,
-            "triples_checked": report.triples_checked,
-        }
-        if report.witness is not None:
-            s, z, j = report.witness
-            payload["witness"] = {
-                "critical": [i + 1 for i in s],
-                "zero": [i + 1 for i in z],
-                "column": j + 1,
-            }
-        verified = report.passed
+    payload = {"path": args.path, "kind": kind, "check": args.check, **report.to_json()}
+    if args.check == "threshold":  # a disjunct certificate records its d itself
+        payload.update(d=args.d, u=args.u, e=args.e)
     out = Path(args.out) if args.out else Path(args.path + ".cert.json")
     out.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(json.dumps(payload, sort_keys=True))
-    if not verified:
+    if not payload["verified"]:
         raise VerificationError(f"{args.path} failed the {args.check} check")
     return 0
 
@@ -301,10 +268,8 @@ def cmd_simulate(args) -> int:
     if args.bundle:
         scheme, _ = load_bundle(args.bundle)
     else:
-        scheme, _, _ = generate_scheme(
-            _params_from(args), args.seed, args.c, args.c_g,
-            max_attempts=args.max_attempts, validation_sets=args.validation_sets,
-        )
+        scheme, _, _ = generate_scheme(_params_from(args), args.seed, args.c, args.c_g,
+                                       args.max_attempts, args.validation_sets)
     certified_e = scheme.params.e
     run_e = _resolve_e(args.e, certified_e)
     records, summary = run_trials(
@@ -334,7 +299,6 @@ def cmd_bench(args) -> int:
         gen_ns = time.perf_counter_ns() - t0
         records, summary = run_trials(scheme, args.trials, args.seed, e)
         encode_ns = sum(r["encode_ns"] for r in records) // len(records)
-
         rows.append({
             "n": n, "d": d, "u": u, "e": e,
             "h": scheme.h, "k": scheme.k, "t": scheme.tests,
@@ -386,9 +350,9 @@ def _add_construction_flags(sub):
     """The flags of generate_scheme that gen, simulate and bench all take."""
     sub.add_argument("--p", type=float, default=0.0)
     sub.add_argument("--seed", type=_seed, default=0)
-    sub.add_argument("--c", type=float, default=3.0)
-    sub.add_argument("--c-g", dest="c_g", type=float, default=2.0)
-    sub.add_argument("--validation-sets", type=int, default=200)
+    sub.add_argument("--c", type=float, default=DEFAULT_C)
+    sub.add_argument("--c-g", dest="c_g", type=float, default=DEFAULT_C_G)
+    sub.add_argument("--validation-sets", type=int, default=DEFAULT_VALIDATION_SETS)
 
 
 def _add_scheme_flags(sub):
@@ -397,7 +361,7 @@ def _add_scheme_flags(sub):
     sub.add_argument("--u", type=int)
     sub.add_argument("--e", type=int, default=None)
     _add_construction_flags(sub)
-    sub.add_argument("--max-attempts", type=int, default=50)
+    sub.add_argument("--max-attempts", type=int, default=DEFAULT_ATTEMPTS)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,7 +21,8 @@ threshold of e+1 separates true items from fabricated ones).  The distinct
 recovered outcomes of the positive blocks are decoded together by the cover
 rule, written once in `_survivors` (first on M's first rows, then in full on
 the columns that pass), and each decision goes to every block with that
-outcome.  Both dedupes go through `_distinct_rows`.
+outcome.  Both dedupes go through `_distinct_rows`.  `generate_scheme` builds and
+certifies a scheme from one seed, for the library and `tgt gen` alike.
 
 A bundle is the files of `_bundle_files`: G.mat, M.mat and the
 scheme.json manifest, each a function of G, M, the parameters, seed, c,
@@ -41,7 +42,9 @@ from pathlib import Path
 import numpy as np
 
 from .bitmat import BitMatrix, BitVector, DefectiveSet, load_matrix, pack_rows, serialize_matrix
-from .constructions import check_memory
+from .constructions import (DEFAULT_ATTEMPTS, DEFAULT_C, DEFAULT_C_G, DEFAULT_VALIDATION_SETS,
+                            DisjunctCertificate, check_memory, construct_disjunct,
+                            construct_good, validate_good)
 from .errors import DimensionError, ParameterError, ParseError, VerificationError
 from .semantics import SchemeParams
 
@@ -90,6 +93,25 @@ def _block_pattern(ma: np.ndarray) -> np.ndarray:
 
 def build_scheme(g: BitMatrix, m: BitMatrix, params: SchemeParams) -> Scheme:
     return Scheme(params, g, m)
+
+
+def generate_scheme(params: SchemeParams, seed: int, c: float = DEFAULT_C,
+                    c_g: float = DEFAULT_C_G, max_attempts: int = DEFAULT_ATTEMPTS,
+                    validation_sets: int = DEFAULT_VALIDATION_SETS,
+                    ) -> tuple[Scheme, DisjunctCertificate, dict]:
+    """Build and certify M and G, drawing M, G and a held-out validation of G at budget
+    2e from SeedSequence(seed).spawn(3); VerificationError if G fails the held-out sets."""
+    seed_m, seed_g, seed_v = np.random.SeedSequence(seed).spawn(3)
+    m, cert = construct_disjunct(params.n, params.d, np.random.default_rng(seed_m),
+                                 max_attempts=max_attempts, c=c)
+    g = construct_good(params, np.random.default_rng(seed_g), max_attempts=max_attempts,
+                       validation_sets=validation_sets, c_g=c_g)
+    validation = validate_good(g, params, np.random.default_rng(seed_v), validation_sets,
+                               2 * params.e)
+    if not validation["passed"]:
+        raise VerificationError(f"G is not good at budget {2 * params.e} for held-out "
+                                f"defective set {validation['failure']['items']}")
+    return Scheme(params, g, m), cert, validation
 
 
 def encode(scheme: Scheme, x: BitVector) -> BitVector:

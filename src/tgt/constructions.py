@@ -41,6 +41,10 @@ from .semantics import SchemeParams
 
 DEFAULT_BUDGET = 20_000_000
 DEFAULT_SAMPLED_TRIALS = 20_000
+DEFAULT_C = 3.0  # scale of the solver row count
+DEFAULT_C_G = 2.0  # scale of the locator row count
+DEFAULT_ATTEMPTS = 50  # candidates a construction draws before it fails
+DEFAULT_VALIDATION_SETS = 200  # sampled defective sets per cardinality
 _CHUNK_BYTES = 1 << 20  # temporaries per batched disjunctness check
 
 
@@ -84,13 +88,13 @@ def _drawable_rows(rows: float, n: int) -> int:
     return math.ceil(rows)
 
 
-def disjunct_row_count(n: int, d: int, c: float = 3.0) -> int:
+def disjunct_row_count(n: int, d: int, c: float = DEFAULT_C) -> int:
     """Rows for a random (d+1)-disjunct candidate on n columns."""
     _check_scale("c", c)
     return _drawable_rows(c * (d + 2) ** 2 * math.log(n), n)
 
 
-def good_row_count(params: SchemeParams, c_g: float = 2.0) -> int:
+def good_row_count(params: SchemeParams, c_g: float = DEFAULT_C_G) -> int:
     """Rows for a random locator-matrix candidate.
 
     Grows with d0^2 log(n/d0) and with the 1/(1-p)^2 margin; never fewer
@@ -133,8 +137,17 @@ class GoodnessReport:
 class ThresholdDisjunctReport:
     passed: bool
     min_count: int
-    witness: tuple[tuple[int, ...], tuple[int, ...], int] | None
+    witness: tuple[tuple[int, ...], tuple[int, ...], int] | None  # (S, Z, column)
     triples_checked: int
+
+    def to_json(self) -> dict:
+        out = {"verified": self.passed, "min_count": self.min_count,
+               "triples_checked": self.triples_checked}
+        if self.witness is not None:
+            s, z, j = self.witness
+            out["witness"] = {"critical": [i + 1 for i in s], "zero": [i + 1 for i in z],
+                              "column": j + 1}
+        return out
 
 
 def _exhaustive_cost(n: int, d: int) -> int:
@@ -261,8 +274,8 @@ def construct_disjunct(
     n: int,
     d: int,
     rng: np.random.Generator,
-    max_attempts: int = 50,
-    c: float = 3.0,
+    max_attempts: int = DEFAULT_ATTEMPTS,
+    c: float = DEFAULT_C,
 ) -> tuple[BitMatrix, DisjunctCertificate]:
     """Sample Bernoulli matrices until one verifies as (d+1)-disjunct.
 
@@ -398,9 +411,9 @@ def validate_good(
 def construct_good(
     params: SchemeParams,
     rng: np.random.Generator,
-    max_attempts: int = 50,
-    validation_sets: int = 200,
-    c_g: float = 2.0,
+    max_attempts: int = DEFAULT_ATTEMPTS,
+    validation_sets: int = DEFAULT_VALIDATION_SETS,
+    c_g: float = DEFAULT_C_G,
 ) -> BitMatrix:
     """Build a locator matrix validated at budget 2e on sampled sets.
 

@@ -1,27 +1,18 @@
-import numpy as np
 import pytest
 
-from tgt import build_scheme, construct_disjunct, construct_good
+from tgt import generate_scheme
 from tgt.semantics import SchemeParams
 
 
 @pytest.fixture(scope="session")
 def scheme16():
     """Certified n=16, d=3, u=2 scheme with no error budget."""
-    params = SchemeParams(n=16, d=3, u=2, e=0, p=0.5)
-    rng = np.random.default_rng(7)
-    m, cert = construct_disjunct(16, 3, rng)
-    g = construct_good(params, rng)
-    scheme = build_scheme(g, m, params)
+    scheme, cert, _ = generate_scheme(SchemeParams(n=16, d=3, u=2, e=0, p=0.5), 7)
     return scheme, cert
 
 
 @pytest.fixture(scope="session")
 def scheme16_e1():
     """Certified n=16, d=3, u=2 scheme validated at budget 2 (e=1)."""
-    params = SchemeParams(n=16, d=3, u=2, e=1, p=0.65)
-    rng = np.random.default_rng(11)
-    m, cert = construct_disjunct(16, 3, rng)
-    g = construct_good(params, rng)
-    scheme = build_scheme(g, m, params)
+    scheme, cert, _ = generate_scheme(SchemeParams(n=16, d=3, u=2, e=1, p=0.65), 11)
     return scheme, cert

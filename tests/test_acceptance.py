@@ -18,12 +18,11 @@ from tgt import (
     adversarial_flip_positions,
     apply_threshold,
     brute_force_decode,
-    build_scheme,
     construct_disjunct,
-    construct_good,
     decode_blocks,
     encode,
     flip_positions,
+    generate_scheme,
     inject_errors,
     is_good_for,
     recover_yprime,
@@ -57,15 +56,6 @@ P_TOLERANT = {
 TRIALS_PER_POINT = 500
 
 
-def _build(n, d, u, e, p, seed):
-    params = SchemeParams(n=n, d=d, u=u, e=e, p=p)
-    seq = np.random.SeedSequence(seed)
-    rng_m, rng_g = (np.random.default_rng(s) for s in seq.spawn(2))
-    m, cert = construct_disjunct(n, d, rng_m)
-    g = construct_good(params, rng_g)
-    return build_scheme(g, m, params), cert
-
-
 def _sample(rng, n, low, high):
     size = int(rng.integers(low, high + 1))
     return DefectiveSet(rng.choice(n, size=size, replace=False).tolist())
@@ -77,7 +67,7 @@ def error_free_runs():
     stats = {"trials": 0, "exact": 0, "schemes": [], "multiset_ok": True}
     for point in GRID:
         n, d, u = point
-        scheme, cert = _build(n, d, u, 0, P_ERROR_FREE[point], SEED)
+        scheme, cert, _ = generate_scheme(SchemeParams(n, d, u, 0, P_ERROR_FREE[point]), SEED)
         assert cert.verified
         stats["schemes"].append(scheme)
         for trial in range(TRIALS_PER_POINT):
@@ -102,7 +92,7 @@ def tolerant_runs():
     for point in GRID:
         n, d, u = point
         for e in (1, 2):
-            scheme, cert = _build(n, d, u, e, P_TOLERANT[point], SEED + e)
+            scheme, cert, _ = generate_scheme(SchemeParams(n, d, u, e, P_TOLERANT[point]), SEED + e)
             assert cert.verified
             stats["schemes"].append(scheme)
             for trial in range(TRIALS_PER_POINT):
@@ -224,7 +214,7 @@ def test_criterion_6_oracle_agreement():
     trials_total = 0
     for n, d, u, e, p, trials in instances:
         assert n <= 20 and d <= 4
-        scheme, _ = _build(n, d, u, e, p, SEED + n)
+        scheme, _, _ = generate_scheme(SchemeParams(n, d, u, e, p), SEED + n)
         for trial in range(trials):
             rng = np.random.default_rng(SEED ^ (n * 1000) ^ trial)
             truth = _sample(rng, n, u, d)

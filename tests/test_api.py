@@ -5,11 +5,14 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import tgt
 from tgt import BitMatrix, DefectiveSet, Scheme, SchemeParams, decode_blocks, encode
 from tgt.oracle import ConsistencySet
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+WORKLOADS = SPANS.with_name("workloads.py")
 
 
 def test_every_exported_name_resolves():
@@ -39,3 +42,38 @@ def test_benchmark_read_attributes_exist():
     assert (trace.reason, trace.accepted) == ("accepted", True)
     found = ConsistencySet((truth,))
     assert truth in found and found.is_singleton()
+
+
+def test_generate_scheme_seed_layout():
+    # M and G draw from the first two children of SeedSequence(seed).spawn(3).
+    params = SchemeParams(n=16, d=3, u=2, e=1, p=0.65)
+    scheme, cert, _ = tgt.generate_scheme(params, 7)
+    seed_m, seed_g, _ = np.random.SeedSequence(7).spawn(3)
+    m, cert_m = tgt.construct_disjunct(params.n, params.d, np.random.default_rng(seed_m))
+    assert scheme.m == m and cert == cert_m
+    assert scheme.g == tgt.construct_good(params, np.random.default_rng(seed_g))
+
+
+def _load(monkeypatch, name, path):
+    """Run a benchmark file as module `name`, in sys.modules while the test runs
+    (workloads.py runs `import spans`; dataclasses look their module up)."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_builds_the_library_schemes(monkeypatch):
+    # perfbench/workloads.py keeps its own copy of the construction recipe;
+    # every benchmark scheme must equal generate_scheme's at the defaults.
+    _load(monkeypatch, "spans", SPANS)
+    workloads = _load(monkeypatch, "perfbench_workloads", WORKLOADS)
+    points = [point for workload in workloads.WORKLOADS.values() for point in workload.points]
+    assert points
+    for point in points:
+        built = workloads.build(point)
+        params = SchemeParams(n=point.n, d=point.d, u=point.u, e=point.e, p=point.p)
+        scheme, cert, validation = tgt.generate_scheme(params, point.seed)
+        assert built.scheme.g == scheme.g and built.scheme.m == scheme.m
+        assert built.cert == cert.to_json() and built.validation == validation

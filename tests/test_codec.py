@@ -23,6 +23,7 @@ from tgt import (
     deserialize_vector,
     encode,
     flip_positions,
+    generate_scheme,
     inject_errors,
     load_bundle,
     load_matrix,
@@ -31,7 +32,7 @@ from tgt import (
     serialize_matrix,
     serialize_vector,
 )
-from tgt import codec, construct_good
+from tgt import codec
 from tgt.cli import main, run_trials
 from tgt.codec import BlockTrace, flatten_outcomes, split_outcome
 from tgt.errors import DimensionError, ParameterError, ParseError
@@ -296,13 +297,7 @@ class TestFindDefectives:
         assert report.status == "no-positive-tests"
 
     def test_exact_recovery_with_oracle_crosscheck(self):
-        params = SchemeParams(n=8, d=3, u=2, e=0, p=0.6)
-        rng = np.random.default_rng(7)
-        m, _ = construct_disjunct(8, 3, rng)
-        from tgt import construct_good
-
-        g = construct_good(params, rng)
-        scheme = build_scheme(g, m, params)
+        scheme, _, _ = generate_scheme(SchemeParams(n=8, d=3, u=2, e=0, p=0.6), 7)
         rng2 = np.random.default_rng(8)
         for _ in range(20):
             truth = DefectiveSet(rng2.choice(8, size=3, replace=False).tolist())
@@ -374,11 +369,10 @@ def reference_decode(scheme, y):
 def scheme32():
     """A (32, 4, 2) scheme at e=1; M carries a sampled certificate."""
     params = SchemeParams(n=32, d=4, u=2, e=1, p=0.71)
-    rng = np.random.default_rng(32)
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("TGT_BUDGET", "0")
-        m, cert = construct_disjunct(32, 4, rng)
-    return build_scheme(construct_good(params, rng), m, params), cert
+        scheme, cert, _ = generate_scheme(params, 32)
+    return scheme, cert
 
 
 def decode_matches_reference(scheme, y):

@@ -16,9 +16,9 @@ from tgt import (
     brute_force_decode,
     decode_blocks,
     encode,
+    generate_scheme,
     inject_errors,
 )
-from tgt.cli import generate_scheme
 from tgt.errors import BudgetError, DimensionError, ParameterError
 from tgt.semantics import SchemeParams
 
