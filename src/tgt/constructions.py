@@ -18,11 +18,12 @@ exhaustive or sampled enumeration, goodness by sampling defective sets and
 running the fixed-D checker.  Constructions are deterministic given a
 seeded generator and fail hard after max_attempts rather than degrade.
 
-Disjunctness is checked on packed column bitsets: each column's rows are
-uint64 words, and one kernel tests a whole batch of subsets S1 at once by
-ANDing every candidate column with the complement of the batch's unions,
-word by word.  Batches of lexicographic subsets (exhaustive) or of
-(j, S1) draws (sampled) replace one Python step per subset or draw;
+Disjunctness is checked on packed column bitsets (uint64 words of rows):
+one kernel tests a batch of (S1, j) pairs on word 0 (rows 0-63) and ANDs
+later words only for the few pairs it leaves open.  Batches of
+lexicographic subsets (exhaustive: each (d-1)-prefix once, its last
+columns expanded in numpy) or of (j, S1) draws (sampled), sized from the
+temporaries each mode holds, replace one Python step per subset or draw;
 certificates, witnesses and generator states equal the step-by-step walk.
 """
 
@@ -162,18 +163,29 @@ def _packed_columns(m: BitMatrix) -> np.ndarray:
     return padded.view(np.uint64)
 
 
-def _uncovered(cols: np.ndarray, s1: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """Which candidate columns keep a row outside the union of each S1.
+def _uncovered(
+    unions: np.ndarray, cand: np.ndarray, s1: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (subset, candidate) pairs whose candidate has no row outside the
+    subset's S1 union, as two index arrays in row-major order.
 
-    `cols` holds the packed columns, `s1` a batch of subsets as (B, d)
-    column indices, and `cand` the packed candidates: `cols` itself for a
-    (B, cols) answer, or (B, 1, words) for one candidate per subset.
+    `unions` holds a batch of S1 unions as (B, words), and `cand` the packed
+    candidates: all columns, (cols, words), or one per subset, (B, 1, words).
+    The columns in `s1`, (B, d), are left out.  Word 0 (rows 0-63) settles
+    nearly every pair; each later word is ANDed only for the pairs still open.
     """
-    outside = ~np.bitwise_or.reduce(cols[s1], axis=1)  # (B, words)
-    acc = np.zeros(np.broadcast_shapes((len(s1), 1), cand.shape[:-1]), np.uint64)
-    for q in range(cols.shape[1]):
-        acc |= outside[:, q, None] & cand[..., q]
-    return acc != 0
+    outside = ~unions
+    covered = (outside[:, None, 0] & cand[..., 0]) == 0
+    if s1 is not None:
+        covered.reshape(-1)[np.arange(0, covered.size, covered.shape[1])[:, None] + s1] = False
+    b, c = np.divmod(np.flatnonzero(covered), covered.shape[1])
+    cand = np.broadcast_to(cand, covered.shape + cand.shape[-1:])
+    for q in range(1, unions.shape[1]):
+        if not len(b):
+            break
+        keep = (outside[b, q] & cand[b, c, q]) == 0
+        b, c = b[keep], c[keep]
+    return b, c
 
 
 def verify_disjunct(
@@ -210,23 +222,36 @@ def verify_disjunct(
                 "switch to sampled mode"
             )
     cols = _packed_columns(m)
-    # Subsets or draws per kernel call: 8-byte words of (B, n) acc and AND
-    # temporaries, and of the d + 2 (B, words) unions, near _CHUNK_BYTES.
-    batch = max(1, _CHUNK_BYTES // (8 * (2 * n + (d + 2) * cols.shape[1])))
+    # Subsets or draws per kernel call, near _CHUNK_BYTES: each holds d + 1
+    # indices or ranks and d + 2 (words,) gathers and unions; a subset also
+    # holds its row of the (B, n) word-0 AND and of the covered mask.
+    held = 8 * (d + 1 + (d + 2) * cols.shape[1]) + (9 * n if mode == "exhaustive" else 0)
+    batch = max(1, _CHUNK_BYTES // held)
 
     if mode == "exhaustive":
-        subsets = combinations(range(n), d)
-        for start in range(0, math.comb(n, d), batch):
-            s1 = np.fromiter(chain.from_iterable(islice(subsets, batch)), np.intp)
-            s1 = s1.reshape(-1, d)
-            isolated = _uncovered(cols, s1, cols)
-            isolated[np.arange(len(s1))[:, None], s1] = True
-            passed = isolated.all(axis=1)
-            if not passed.all():
-                b = int(np.argmin(passed))
-                j = int(np.argmin(isolated[b]))
-                witness = (tuple(int(i) for i in s1[b]), j)
+        # S1 in lexicographic order: each prefix of d - 1 columns from
+        # itertools, then every last column past it, expanded by np.repeat.
+        prefixes = combinations(range(n - 1), d - 1)
+        unread, start, pending = math.comb(n - 1, d - 1), 0, np.empty((0, d - 1), np.intp)
+        while unread or len(pending):
+            if unread and len(pending) < batch:
+                more = min(batch, unread)
+                flat = np.fromiter(chain.from_iterable(islice(prefixes, more)), np.intp)
+                pending = np.concatenate([pending, flat.reshape(more, d - 1)])
+                unread -= more
+            firsts = pending[:, -1:].max(axis=1, initial=-1) + 1  # lowest last columns
+            ends = np.cumsum(n - firsts)  # subsets up to and including each prefix
+            p = max(1, int(np.searchsorted(ends, batch, side="right")))
+            pre, pending, counts = pending[:p], pending[p:], n - firsts[:p]
+            last = np.arange(ends[p - 1]) + np.repeat(firsts[:p] - ends[:p] + counts, counts)
+            s1 = np.column_stack([np.repeat(pre, counts, axis=0), last])
+            unions = np.repeat(np.bitwise_or.reduce(cols[pre.T], axis=0), counts, axis=0)
+            failed, j = _uncovered(unions | cols[last], cols, s1)
+            if len(failed):  # the first failing subset and its lowest covered column
+                b = int(failed[0])
+                witness = (tuple(int(i) for i in s1[b]), int(j[0]))
                 return DisjunctCertificate(d, False, mode, (start + b + 1) * (n - d), witness)
+            start += len(s1)
         return DisjunctCertificate(d, True, mode, math.comb(n, d) * (n - d))
 
     gen = rng if rng is not None else np.random.default_rng(0)
@@ -239,9 +264,9 @@ def verify_disjunct(
             for earlier in np.sort(picks[:, :i], axis=1).T:
                 picks[:, i] += picks[:, i] >= earlier
         s1, j = picks[:, 1:], picks[:, 0]
-        isolated = _uncovered(cols, s1, cols[j][:, None, :])[:, 0]
-        if not isolated.all():
-            t = int(np.argmin(isolated))
+        failed, _ = _uncovered(np.bitwise_or.reduce(cols[s1.T], axis=0), cols[j][:, None, :])
+        if len(failed):
+            t = int(failed[0])
             # Redraw up to the failing draw, so rng ends where a draw-by-draw loop would.
             gen.bit_generator.state = state
             gen.integers(0, bounds, size=(t + 1, d + 1))

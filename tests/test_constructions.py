@@ -136,13 +136,19 @@ def reference_sampled(m: BitMatrix, d: int, trials: int, gen: np.random.Generato
 
 def sampled_pairs(n: int, d: int, trials: int, seed: int) -> np.ndarray:
     """The (j, S1) rows sampled mode checks on the identity, read off the
-    kernel's arguments (j from its packed column) and all let pass."""
+    kernel's arguments (j from its packed column, S1 ascending from its
+    union, which on the identity holds exactly S1's bits), none failing."""
     drawn = []
 
-    def record(cols, s1, cand):
-        j = np.unpackbits(cand[:, 0].view(np.uint8), axis=1, bitorder="little").argmax(axis=1)
-        drawn.append(np.column_stack([j, s1]))
-        return np.ones((len(s1), 1), bool)
+    def bits(packed):
+        return np.unpackbits(packed.view(np.uint8), axis=1, bitorder="little")[:, :n]
+
+    def record(unions, cand, s1=None):
+        members = bits(unions)
+        assert s1 is None and (members.sum(axis=1) == d).all()  # d distinct columns
+        s1 = np.nonzero(members)[1].reshape(-1, d)
+        drawn.append(np.column_stack([bits(cand[:, 0]).argmax(axis=1), s1]))
+        return np.empty(0, np.intp), np.empty(0, np.intp)  # no pair fails
 
     with patch.object(constructions, "_uncovered", record):
         cert = verify_disjunct(BitMatrix.identity(n), d, mode="sampled", trials=trials,
@@ -168,6 +174,29 @@ def random_matrix(case) -> tuple[BitMatrix, int]:
     return BitMatrix.random(np.random.default_rng(seed), k, n, density), d
 
 
+# Two to four words per column.  Columns blank on rows 0-63 leave word 0
+# without an answer, so the later words decide; an all-zero column is
+# covered by every S1 that leaves it out.
+wide_matrices = st.tuples(
+    st.integers(3, 21),  # n
+    st.integers(1, 5),  # d
+    st.integers(65, 200),  # k
+    st.floats(0.05, 0.6),  # density
+    st.integers(0, 2**32 - 1),  # seed
+    st.sets(st.integers(0, 20), max_size=6),  # columns blank on rows 0-63
+    st.one_of(st.none(), st.integers(0, 20)),  # the all-zero column, if any
+).filter(lambda c: c[1] < c[0])
+
+
+def wide_matrix(case) -> tuple[BitMatrix, int]:
+    n, d, k, density, seed, blank, zero = case
+    a = BitMatrix.random(np.random.default_rng(seed), k, n, density).to_array().copy()
+    a[:64, [j for j in blank if j < n]] = False
+    if zero is not None:
+        a[:, zero % n] = False
+    return BitMatrix(a), d
+
+
 class TestVerifyDisjunctReference:
     """The batched bitset kernel against the loops it replaced, bit for bit."""
 
@@ -190,11 +219,31 @@ class TestVerifyDisjunctReference:
         assert cert == reference_sampled(m, d, trials, ref_gen)
         assert gen.bit_generator.state == ref_gen.bit_generator.state
 
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @settings(max_examples=40, deadline=None)
+    @given(case=wide_matrices)
+    def test_exhaustive_matches_loop_past_word_0(self, chunk, case):
+        m, d = wide_matrix(case)
+        with patch.object(constructions, "_CHUNK_BYTES", chunk):
+            assert verify_disjunct(m, d) == reference_exhaustive(m, d)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @settings(max_examples=40, deadline=None)
+    @given(case=wide_matrices, trials=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_sampled_matches_loop_past_word_0(self, chunk, case, trials, seed):
+        m, d = wide_matrix(case)
+        gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        with patch.object(constructions, "_CHUNK_BYTES", chunk):
+            cert = verify_disjunct(m, d, mode="sampled", trials=trials, rng=gen)
+        assert cert == reference_sampled(m, d, trials, ref_gen)
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+
     @pytest.mark.parametrize("n", [2, 3, 16, 33, 1024])
-    @pytest.mark.parametrize("b", [1, 2, 7])
+    @pytest.mark.parametrize("b", [1, 2, 7, 1000])
     def test_batched_draws_match_sequential_draws(self, n, b):
         """Sampled mode draws the ranks of b (j, S1) pairs in one `integers`
-        call; the stream must equal b per-draw calls, generator state included."""
+        call; the stream must equal b per-draw calls, generator state included.
+        At n=1024, d=5 a default batch is about 1,400 draws."""
         for d in sorted({1, min(4, n - 1), n - 1}):
             bounds = n - np.arange(d + 1)
             gen, ref_gen = np.random.default_rng(5), np.random.default_rng(5)
@@ -230,6 +279,21 @@ class TestVerifyDisjunctReference:
             ref = verify_disjunct(m, 4, mode=mode, rng=ref_gen)
             assert not ref.verified and ref.trials == failing and cert == ref
             assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    @pytest.mark.parametrize("n,mode", [(32, "exhaustive"), (1024, "sampled")])
+    def test_memory_is_bounded(self, n, mode):
+        """Each mode sizes its batch from the temporaries it holds, so a whole
+        order-5 check, all C(32, 5) subsets or the 20,000 draws at n=1024,
+        peaks under twice _CHUNK_BYTES (in one batch: about 95 and 13 MiB)."""
+        m = BitMatrix.random(np.random.default_rng(n), disjunct_row_count(n, 4), n, 1 / 6)
+        tracemalloc.start()
+        try:
+            cert = verify_disjunct(m, 5, mode=mode, rng=np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.verified
+        assert peak < 2 * constructions._CHUNK_BYTES
 
     @pytest.mark.parametrize("trials", [0, -5])
     def test_sampled_needs_a_draw(self, trials):
