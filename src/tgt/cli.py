@@ -48,7 +48,6 @@ from .constructions import (
     DEFAULT_C_G,
     DEFAULT_SAMPLED_TRIALS,
     DEFAULT_VALIDATION_SETS,
-    _sample_defective_set,
     verify_disjunct,
     verify_threshold_disjunct,
 )
@@ -99,7 +98,7 @@ def run_trials(scheme: Scheme, trials: int, seed: int, run_e: int,
     for trial in range(1, trials + 1):
         rng = np.random.default_rng(seed ^ trial)
         size = int(rng.integers(low, params.d + 1))
-        truth = _sample_defective_set(rng, params.n, size)
+        truth = DefectiveSet(rng.choice(params.n, size=size, replace=False).tolist())
         x = truth.to_vector(params.n)
         t0 = time.perf_counter_ns()
         flat = encode(scheme, x)

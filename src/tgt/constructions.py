@@ -188,6 +188,21 @@ def _uncovered(
     return b, c
 
 
+def _distinct_draws(gen: np.random.Generator, n: int, count: int, size: int) -> np.ndarray:
+    """`count` draws of `size` distinct items out of n, as (count, size), from
+    one `gen.integers` call: rank i indexes the n - i items not drawn before
+    it, ascending, so it is shifted past each earlier pick in ascending order."""
+    picks = gen.integers(0, n - np.arange(size), size=(count, size)).T.copy()
+    drawn = []  # each draw's earlier picks, ascending: one array per place
+    for pick in picks:
+        for low in drawn:
+            pick += pick >= low
+        for k, low in enumerate(drawn):  # insert the shifted pick by min/max, no sort
+            drawn[k], pick = np.minimum(low, pick), np.maximum(low, pick)
+        drawn.append(pick)
+    return picks.T
+
+
 def verify_disjunct(
     m: BitMatrix,
     d: int,
@@ -255,21 +270,17 @@ def verify_disjunct(
         return DisjunctCertificate(d, True, mode, math.comb(n, d) * (n - d))
 
     gen = rng if rng is not None else np.random.default_rng(0)
-    bounds = n - np.arange(d + 1)  # column i: a rank among the n - i items not yet picked
     for start in range(0, trials, batch):
         draws = min(batch, trials - start)
         state = gen.bit_generator.state
-        picks = gen.integers(0, bounds, size=(draws, d + 1))
-        for i in range(1, d + 1):  # shift rank i past each earlier pick, ascending
-            for earlier in np.sort(picks[:, :i], axis=1).T:
-                picks[:, i] += picks[:, i] >= earlier
+        picks = _distinct_draws(gen, n, draws, d + 1)
         s1, j = picks[:, 1:], picks[:, 0]
         failed, _ = _uncovered(np.bitwise_or.reduce(cols[s1.T], axis=0), cols[j][:, None, :])
         if len(failed):
             t = int(failed[0])
             # Redraw up to the failing draw, so rng ends where a draw-by-draw loop would.
             gen.bit_generator.state = state
-            gen.integers(0, bounds, size=(t + 1, d + 1))
+            _distinct_draws(gen, n, t + 1, d + 1)
             witness = (tuple(sorted(int(i) for i in s1[t])), int(j[t]))
             return DisjunctCertificate(d, False, mode, start + t + 1, witness)
     return DisjunctCertificate(d, True, mode, trials)
@@ -384,11 +395,6 @@ def is_good_for(g: BitMatrix, dset: DefectiveSet, u: int, e: int) -> GoodnessRep
     return GoodnessReport(per_item, bool((counts > e).all()))
 
 
-def _sample_defective_set(rng: np.random.Generator, n: int, size: int) -> DefectiveSet:
-    """`size` distinct items drawn uniformly from n, as validate_good draws each set."""
-    return DefectiveSet(rng.choice(n, size=size, replace=False).tolist())
-
-
 def validate_good(
     g: BitMatrix,
     params: SchemeParams,
@@ -409,9 +415,9 @@ def validate_good(
                for size in range(params.u, params.d + 1)
                for start in range(0, sets_per_cardinality, batch))
     failed = None
-    for size, draws in batches:  # each set one rng.choice call, as set by set
+    for size, draws in batches:
         state = rng.bit_generator.state
-        sets = np.array([rng.choice(params.n, size, replace=False) for _ in range(draws)])
+        sets = _distinct_draws(rng, params.n, draws, size)
         sub = items[sets]
         qualifying = sub.sum(axis=1, keepdims=True) == params.u
         good = ((sub & qualifying).sum(axis=2) > budget_e).all(axis=1)
@@ -419,8 +425,7 @@ def validate_good(
             t = int(np.argmin(good))
             # Redraw up to the failing set, so rng ends where a set-by-set walk would.
             rng.bit_generator.state = state
-            for _ in range(t + 1):
-                rng.choice(params.n, size, replace=False)
+            _distinct_draws(rng, params.n, t + 1, size)
             failed = DefectiveSet(sets[t].tolist())
             break
     return {

@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import math
 import tracemalloc
@@ -121,6 +122,16 @@ def reference_draw(n: int, d: int, gen: np.random.Generator) -> list[int]:
     return picked
 
 
+def sorted_shift_draws(gen: np.random.Generator, n: int, count: int, size: int) -> np.ndarray:
+    """The shift _distinct_draws replaced: rank i is shifted past the earlier
+    picks of its draw, sorted afresh by np.sort for every rank."""
+    picks = gen.integers(0, n - np.arange(size), size=(count, size))
+    for i in range(1, size):
+        for earlier in np.sort(picks[:, :i], axis=1).T:
+            picks[:, i] += picks[:, i] >= earlier
+    return picks
+
+
 def reference_sampled(m: BitMatrix, d: int, trials: int, gen: np.random.Generator):
     """The per-draw loop verify_disjunct's sampled mode replaced."""
     a = m.to_array()
@@ -239,18 +250,34 @@ class TestVerifyDisjunctReference:
         assert gen.bit_generator.state == ref_gen.bit_generator.state
 
     @pytest.mark.parametrize("n", [2, 3, 16, 33, 1024])
-    @pytest.mark.parametrize("b", [1, 2, 7, 1000])
+    @pytest.mark.parametrize("b", [1, 2, 7, 197, 1000])
     def test_batched_draws_match_sequential_draws(self, n, b):
-        """Sampled mode draws the ranks of b (j, S1) pairs in one `integers`
-        call; the stream must equal b per-draw calls, generator state included.
-        At n=1024, d=5 a default batch is about 1,400 draws."""
-        for d in sorted({1, min(4, n - 1), n - 1}):
-            bounds = n - np.arange(d + 1)
+        """Sampled mode draws the ranks of b (j, S1) pairs, and validate_good
+        those of b sets of u..d items, in one `integers` call; the stream must
+        equal b per-draw calls, generator state included.  At n=1024, d=5 a
+        default batch is about 1,400 draws; at h=312, d=4 about 197 sets."""
+        for size in sorted({1, 2, 3, 4, 5, n} & set(range(1, n + 1))):
+            bounds = n - np.arange(size)
             gen, ref_gen = np.random.default_rng(5), np.random.default_rng(5)
-            batched = gen.integers(0, bounds, size=(b, d + 1))
+            batched = gen.integers(0, bounds, size=(b, size))
             sequential = np.stack([ref_gen.integers(0, bounds) for _ in range(b)])
             assert (batched == sequential).all()
             assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40), count=st.integers(1, 60),
+           seed=st.integers(0, 2**32 - 1))
+    def test_distinct_draws_match_sorted_shift(self, data, n, count, seed):
+        """The min/max insertion gives the per-rank-sort shift's draws bit for
+        bit, from the same generator position, size 1 and size n included."""
+        size = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)), label="size")
+        gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = constructions._distinct_draws(gen, n, count, size)
+        assert draws.shape == (count, size)
+        assert (draws == sorted_shift_draws(ref_gen, n, count, size)).all()
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+        assert draws.min() >= 0 and draws.max() < n
+        assert all(len(set(row)) == size for row in draws.tolist())
 
     @pytest.mark.parametrize("n,d", [(2, 1), (3, 2), (7, 2), (16, 4), (33, 32), (1024, 5)])
     def test_drawn_pairs_are_distinct_and_in_range(self, n, d):
@@ -491,6 +518,17 @@ class TestIsGoodFor:
         assert report.is_good and report.per_item_counts == {}
 
 
+def reference_set(n: int, size: int, rng: np.random.Generator) -> list[int]:
+    """One sampled set, ascending, from one `integers` call: each rank is
+    shifted past the items picked before it, walked in ascending order."""
+    items = []
+    for rank in rng.integers(0, n - np.arange(size)).tolist():
+        for earlier in items:
+            rank += rank >= earlier
+        bisect.insort(items, rank)
+    return items
+
+
 def validate_good_reference(g: BitMatrix, params: SchemeParams, rng, sets: int, budget: int):
     """validate_good's failing set (1-based), or None, one sampled set at a
     time, with goodness from the definition: every item of D lies in more
@@ -498,7 +536,7 @@ def validate_good_reference(g: BitMatrix, params: SchemeParams, rng, sets: int, 
     rows = g.to_array().tolist()
     for size in range(params.u, params.d + 1):
         for _ in range(sets):
-            items = sorted(int(j) for j in rng.choice(params.n, size=size, replace=False))
+            items = reference_set(params.n, size, rng)
             qualifying = [row for row in rows if sum(row[j] for j in items) == params.u]
             if any(sum(row[j] for row in qualifying) <= budget for j in items):
                 return {"cardinality": size, "items": [j + 1 for j in items]}
@@ -515,7 +553,7 @@ class TestConstructGood:
         assert g.rows == good_row_count(params) == 363
         digest = "77ab572543d290924de192eb245fd74b0de264507f6730645f859b1aae258488"
         assert hashlib.sha256(g.packed()).hexdigest() == digest
-        assert int(rng.integers(2**63)) == 7980973424054102826
+        assert int(rng.integers(2**63)) == 3552868593329504936
 
     def test_error_free_example(self):
         # p=0 needs a larger row constant to make sampled validation pass
@@ -560,8 +598,8 @@ class TestConstructGood:
         rng, reference = np.random.default_rng(6), np.random.default_rng(6)
         result = validate_good(BitMatrix.ones(4, 16), params, rng, 5, 0)
         for _ in range(5):
-            reference.choice(16, size=2, replace=False)
-        first_triple = sorted(int(j) + 1 for j in reference.choice(16, size=3, replace=False))
+            reference_set(16, 2, reference)
+        first_triple = [j + 1 for j in reference_set(16, 3, reference)]
         assert result == {
             "passed": False, "sets_per_cardinality": 5, "budget": 0,
             "failure": {"cardinality": 3, "items": first_triple},
@@ -591,6 +629,27 @@ class TestConstructGood:
         failure = validate_good_reference(g, params, reference, sets, budget)
         assert (result["passed"], result["failure"]) == (failure is None, failure)
         assert rng.integers(2**63) == reference.integers(2**63)
+
+    def test_validated_sets_are_uniform(self):
+        """All C(7, 3) = 35 sets at n=7, u=d=3 over 35,000 validated sets:
+        the chi-square statistic stays below its 0.9999 quantile at 34
+        degrees of freedom, 73.48."""
+        drawn = []
+        inner = constructions._distinct_draws
+
+        def recording(*args):
+            drawn.append(inner(*args))
+            return drawn[-1]
+
+        params = SchemeParams(n=7, d=3, u=3)
+        with patch.object(constructions, "_distinct_draws", recording):
+            result = validate_good(weight_u_matrix(7, 3), params, np.random.default_rng(3),
+                                   35_000, 0)
+        assert result["passed"]
+        keys = np.sort(np.concatenate(drawn), axis=1) @ [49, 7, 1]
+        counts = np.unique(keys, return_counts=True)[1]
+        assert len(counts) == 35 and counts.sum() == 35_000
+        assert ((counts - 1000) ** 2 / 1000).sum() < 73.48
 
     def test_validation_memory_is_bounded(self):
         """Sets are counted in batches of about _CHUNK_BYTES, so peak memory
