@@ -4,9 +4,9 @@ All simulation state is binary: pooling matrices, item vectors, outcome
 vectors.  The types here are immutable after construction, so they can be
 shared freely between threads and hashed / compared by value.  This
 module alone decides how bits are stored: `BitVector` and `BitMatrix`
-share one immutable 0/1-array base, `pack_rows` is the one packer,
-`payload_bytes` the one padded payload size, and one reader parses the
-headers of matrix and vector files.
+share one immutable 0/1-array base, `pack_rows` is the one packer, `pack_words`
+its one padding to whole 64-bit words of `payload_bytes`, and one reader
+parses the headers of matrix and vector files.
 
 Index convention: everything in memory is 0-based.  Item and test indices
 are 1-based in reports and CLI output: ``DefectiveSet.to_one_based`` converts,
@@ -39,6 +39,14 @@ def pack_rows(a: np.ndarray) -> np.ndarray:
 def payload_bytes(nbits: int) -> int:
     """Bytes that hold nbits in whole 64-bit words, as the file payload does."""
     return -(-nbits // 64) * 8
+
+
+def pack_words(a: np.ndarray) -> np.ndarray:
+    """`pack_rows(a)` zero-padded to whole 64-bit words, as (..., words) uint64."""
+    packed = pack_rows(a)
+    words = np.zeros(packed.shape[:-1] + (payload_bytes(a.shape[-1]),), np.uint8)
+    words[..., : packed.shape[-1]] = packed
+    return words.view(np.uint64)
 
 
 class _Bits:
@@ -92,8 +100,7 @@ class _Bits:
     def packed(self) -> bytes:
         """The file payload: bit i of the row-major bit stream in byte i//8
         at position i%8, zero-padded to whole 64-bit words."""
-        flat = pack_rows(self._a.reshape(-1))
-        return flat.tobytes() + bytes(payload_bytes(self._a.size) - flat.size)
+        return pack_words(self._a.reshape(-1)).tobytes()
 
     def __eq__(self, other) -> bool:
         return (
@@ -142,8 +149,9 @@ class BitMatrix(_Bits):
         return cls(np.eye(n, dtype=np.uint8))
 
     @classmethod
-    def random(cls, rng: np.random.Generator, rows: int, cols: int, density: float) -> "BitMatrix":
-        return cls((rng.random((rows, cols)) < density).astype(np.uint8))
+    def random(cls, rng: np.random.Generator, rows: int, cols: int, density) -> "BitMatrix":
+        """1 where a (rows, cols) uniform draw is below `density`: a float or (rows, 1) array."""
+        return cls._adopt(rng.random((rows, cols)) < density)
 
     @property
     def rows(self) -> int:

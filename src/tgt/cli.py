@@ -70,6 +70,8 @@ _CSV_COLUMNS = [
 def _resolve_e(requested: int | None, certified_e: int) -> int:
     """The flip budget to decode with: `--e` if given, else the certified e.
     Warns on stderr when it exceeds the e the scheme was certified for."""
+    if requested is not None and requested < 0:
+        raise ParameterError(f"--e must be nonnegative, got {requested}")
     run_e = certified_e if requested is None else requested
     if run_e > certified_e:
         print(f"warning: running {run_e} flips against a bundle certified for "

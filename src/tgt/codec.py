@@ -41,7 +41,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bitmat import BitMatrix, BitVector, DefectiveSet, load_matrix, pack_rows, serialize_matrix
+from .bitmat import (BitMatrix, BitVector, DefectiveSet, load_matrix, pack_rows, pack_words,
+                     serialize_matrix)
 from .constructions import (DEFAULT_ATTEMPTS, DEFAULT_C, DEFAULT_C_G, DEFAULT_VALIDATION_SETS,
                             DisjunctCertificate, check_memory, construct_disjunct,
                             construct_good, validate_good)
@@ -134,14 +135,12 @@ def encode(scheme: Scheme, x: BitVector) -> BitVector:
 
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a 0/1 array with columns, and each row's index among them, by one
-    key per packed row: its zero-padded uint64 word up to 64 bits (encode's |supp(x)| <= d
-    columns), else a void (copied contiguous for the view); np.unique(axis=0) is 10x slower."""
-    packed = pack_rows(a)
-    if packed.shape[1] <= 8:
-        words = np.zeros((a.shape[0], 8), dtype=np.uint8)
-        words[:, : packed.shape[1]] = packed
-        keys = words.view(np.uint64).ravel()
+    key per packed row: its `pack_words` word up to 64 bits (encode's |supp(x)| <= d columns),
+    else a void (copied contiguous for the view); np.unique(axis=0) is 10x slower."""
+    if a.shape[1] <= 64:
+        keys = pack_words(a).ravel()
     else:
+        packed = pack_rows(a)
         keys = np.ascontiguousarray(packed).view(f"V{packed.shape[1]}").ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     return a[first], inverse
@@ -301,8 +300,8 @@ def adversarial_flip_positions(scheme: Scheme, x: BitVector, e: int) -> tuple[in
     """Pick e flip positions that hurt the decoder most: kill the locator
     bits of qualifying blocks for the defective with the fewest of them,
     then of the other qualifying blocks, then of the first blocks."""
-    if e == 0:
-        return ()
+    if e < 0:
+        raise ParameterError(f"error count must be nonnegative, got {e}")
     support = x.support()
     g = scheme.g.to_array()[:, support]
     qualifying = g.sum(axis=1) == scheme.params.u

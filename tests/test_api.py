@@ -1,7 +1,9 @@
 """The public surface: what `tgt` exports and what the benchmark reads."""
 
+import hashlib
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -52,6 +54,28 @@ def test_generate_scheme_seed_layout():
     m, cert_m = tgt.construct_disjunct(params.n, params.d, np.random.default_rng(seed_m))
     assert scheme.m == m and cert == cert_m
     assert scheme.g == tgt.construct_good(params, np.random.default_rng(seed_g))
+
+
+# The benchmark's seven construction points, (n, d, u, e, p, seed): the grid-small
+# five at seed 20250811, then large-n and bundle-cli at seed 20250810.
+BENCHMARK_POINTS = (
+    (16, 3, 2, 1, 0.72, 20250811), (32, 4, 2, 1, 0.71, 20250811),
+    (32, 4, 3, 1, 0.53, 20250811), (64, 5, 2, 1, 0.61, 20250811),
+    (64, 5, 4, 1, 0.31, 20250811), (1024, 4, 2, 1, 0.6, 20250810),
+    (256, 4, 2, 1, 0.6, 20250810),
+)
+BENCHMARK_SCHEMES_SHA256 = "4383b6559f4a392d4ae9fb708a5725505893322762822800ec395e1ceaa9d2a4"
+
+
+def test_benchmark_schemes_are_pinned():
+    # G's and M's payloads, M's certificate and G's held-out validation, all
+    # seven points in one digest: any change to a draw or a certifier shows here.
+    digest = hashlib.sha256()
+    for n, d, u, e, p, seed in BENCHMARK_POINTS:
+        scheme, cert, validation = tgt.generate_scheme(SchemeParams(n=n, d=d, u=u, e=e, p=p), seed)
+        digest.update(scheme.g.packed() + scheme.m.packed())
+        digest.update(json.dumps([cert.to_json(), validation], sort_keys=True).encode())
+    assert digest.hexdigest() == BENCHMARK_SCHEMES_SHA256
 
 
 def _load(monkeypatch, name, path):

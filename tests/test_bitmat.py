@@ -15,6 +15,7 @@ from tgt import (
     serialize_matrix,
     serialize_vector,
 )
+from tgt.bitmat import pack_words
 from tgt.errors import DimensionError, ParseError
 
 bit_matrices = st.integers(1, 8).flatmap(
@@ -115,6 +116,17 @@ class TestAdopt:
             assert adopted.to_array().dtype == np.uint8
             assert adopted.to_array().flags.writeable is False
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_per_row_density(self, seed):
+        # One probability per row, as construct_good draws its layered candidates.
+        h, n = 7, 33
+        density = np.linspace(0.1, 0.9, h)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        m = BitMatrix.random(ours, h, n, density[:, None])
+        assert m == BitMatrix(theirs.random((h, n)) < density[:, None])
+        assert m.to_array().flags.writeable is False
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
     def test_adopted_bits_cannot_be_written(self):
         for bits in (BitVector.zeros(4), BitMatrix.ones(2, 3),
                      BitVector._adopt(np.array([True, False]))):
@@ -123,6 +135,19 @@ class TestAdopt:
 
 
 class TestSerialization:
+    @given(st.integers(1, 8), st.integers(1, 200), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_pack_words_is_padded_packbits(self, rows, width, transposed, seed):
+        a = np.random.default_rng(seed).random((rows, width)) < 0.5
+        if transposed:  # the same bits as the transpose of a contiguous array
+            a = np.ascontiguousarray(a.T).T
+        expected = np.packbits(a, axis=-1, bitorder="little")
+        pad = -expected.shape[1] % 8
+        expected = np.concatenate([expected, np.zeros((rows, pad), np.uint8)], axis=1)
+        words = pack_words(a)
+        assert words.dtype == np.uint64 and words.shape == (rows, expected.shape[1] // 8)
+        assert words.tobytes() == expected.tobytes()
+        assert pack_words(a[0]).tobytes() == expected[0].tobytes()
+
     def test_packed_layout_lsb_first(self):
         # flat bits (1,0,1,0,1,1) -> byte 0b00110101 = 0x35, then zero pad
         m = BitMatrix([[1, 0, 1], [0, 1, 1]])

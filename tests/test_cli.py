@@ -498,12 +498,16 @@ class TestMalformedInput:
         assert code == 2
 
     def test_negative_error_budget(self, bundle, tmp_path, capsys):
+        # decode and both simulate modes refuse a negative --e by name, before any work.
         y_path = tmp_path / "y.vec"
         run(capsys, "encode", "--bundle", str(bundle),
             "--defectives", "2,9", "--out", str(y_path))
-        code, _ = run(capsys, "decode", "--bundle", str(bundle),
-                      "--y", str(y_path), "--e", "-1")
-        assert code == 2
+        for inputs in (["decode", "--y", str(y_path)], ["simulate", "--trials", "2"],
+                       ["simulate", "--trials", "2", "--adversarial"]):
+            command, *rest = inputs
+            assert main([command, "--bundle", str(bundle), *rest, "--e", "-1"]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", "error: --e must be nonnegative, got -1\n")
 
     @pytest.mark.parametrize("key, value", [
         ("h", 999), ("k", 7), ("t", 5), ("e", 3), ("seed", 8), ("c", 2.5), ("c_g", None),

@@ -644,6 +644,12 @@ class TestMultisetAndTolerantDecoding:
         scheme, _ = scheme16_e1
         assert adversarial_flip_positions(scheme, DefectiveSet([1, 5]).to_vector(16), 0) == ()
 
+    @pytest.mark.parametrize("e", [-1, -5])
+    def test_negative_adversarial_budget(self, scheme16_e1, e):
+        scheme, _ = scheme16_e1
+        with pytest.raises(ParameterError, match="nonnegative"):
+            adversarial_flip_positions(scheme, DefectiveSet([1, 5]).to_vector(16), e)
+
 
 class TestBundles:
     def test_roundtrip(self, tmp_path, scheme16):
