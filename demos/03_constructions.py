@@ -16,13 +16,20 @@ from tgt.semantics import SchemeParams
 rng = np.random.default_rng(42)
 
 # The solver matrix M must be (d+1)-disjunct: every column escapes the
-# union of any d+1 others in some row.  Construction is randomized and
-# certified per instance, exhaustively when the subset enumeration fits
-# the work budget.
+# union of any d+1 others in some row.  M is a Kautz-Singleton code: column
+# j is the polynomial of degree < kappa over GF(q) whose coefficients are
+# j's base-q digits, and each of m evaluation points gives q rows, one per
+# value.  Two columns agree on at most kappa-1 points, so with
+# m = (d+1)(kappa-1)+1 every column keeps a row of its own against any d+1
+# others: disjunct by construction, with no draw and no search.  Where the
+# identity has no more rows, M is the identity.
 
-m, cert = construct_disjunct(n=16, d=2, rng=rng)
-print(f"M: {m.shape[0]}x{m.shape[1]}, certified {cert.d}-disjunct "
-      f"({cert.method}, {cert.trials} checks)")
+m, cert = construct_disjunct(n=64, d=2)
+q, kappa, points = cert.code
+print(f"M: {m.shape[0]}x{m.shape[1]}, Kautz-Singleton code (q={q}, kappa={kappa}, "
+      f"m={points}), {cert.d}-disjunct by construction")
+proof = verify_disjunct(m, cert.d, mode="exhaustive")
+print(f"exhaustive check of all {proof.trials} (S1, j) pairs: verified = {proof.verified}")
 
 # Identity matrices are maximally disjunct; a repeated row is not.
 

@@ -35,7 +35,6 @@ from .constructions import (
     ThresholdDisjunctReport,
     construct_disjunct,
     construct_good,
-    disjunct_row_count,
     good_row_count,
     is_good_for,
     validate_good,
@@ -67,7 +66,7 @@ __all__ = [
     "apply_threshold", "inject_errors", "flip_positions",
     "verify_disjunct", "construct_disjunct", "verify_threshold_disjunct",
     "is_good_for", "construct_good", "validate_good",
-    "disjunct_row_count", "good_row_count",
+    "good_row_count",
     "build_scheme", "encode", "recover_yprime", "cover_decode",
     "decode_blocks", "adversarial_flip_positions",
     "generate_scheme", "save_bundle", "load_bundle",

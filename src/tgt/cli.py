@@ -44,7 +44,6 @@ from .codec import (
 )
 from .constructions import (
     DEFAULT_ATTEMPTS,
-    DEFAULT_C,
     DEFAULT_C_G,
     DEFAULT_SAMPLED_TRIALS,
     DEFAULT_VALIDATION_SETS,
@@ -174,9 +173,9 @@ def _check_out(out: str, makes_dirs: bool) -> None:
 
 
 def cmd_gen(args) -> int:
-    scheme, cert, validation = generate_scheme(_params_from(args), args.seed, args.c, args.c_g,
+    scheme, cert, validation = generate_scheme(_params_from(args), args.seed, args.c_g,
                                                args.max_attempts, args.validation_sets)
-    save_bundle(args.out, scheme, args.seed, args.c, args.c_g, cert.to_json(), validation)
+    save_bundle(args.out, scheme, args.seed, None, args.c_g, cert.to_json(), validation)
     print(json.dumps({
         "bundle": str(args.out), "h": scheme.h, "k": scheme.k, "t": scheme.tests,
     }, sort_keys=True))
@@ -269,7 +268,7 @@ def cmd_simulate(args) -> int:
     if args.bundle:
         scheme, _ = load_bundle(args.bundle)
     else:
-        scheme, _, _ = generate_scheme(_params_from(args), args.seed, args.c, args.c_g,
+        scheme, _, _ = generate_scheme(_params_from(args), args.seed, args.c_g,
                                        args.max_attempts, args.validation_sets)
     certified_e = scheme.params.e
     run_e = _resolve_e(args.e, certified_e)
@@ -295,7 +294,7 @@ def cmd_bench(args) -> int:
     for n, d, u, e in grid:
         params = SchemeParams(n=n, d=d, u=u, e=e, p=args.p)
         t0 = time.perf_counter_ns()
-        scheme, _, _ = generate_scheme(params, args.seed, args.c, args.c_g,
+        scheme, _, _ = generate_scheme(params, args.seed, args.c_g,
                                        validation_sets=args.validation_sets)
         gen_ns = time.perf_counter_ns() - t0
         records, summary = run_trials(scheme, args.trials, args.seed, e)
@@ -351,7 +350,6 @@ def _add_construction_flags(sub):
     """The flags of generate_scheme that gen, simulate and bench all take."""
     sub.add_argument("--p", type=float, default=0.0)
     sub.add_argument("--seed", type=_seed, default=0)
-    sub.add_argument("--c", type=float, default=DEFAULT_C)
     sub.add_argument("--c-g", dest="c_g", type=float, default=DEFAULT_C_G)
     sub.add_argument("--validation-sets", type=int, default=DEFAULT_VALIDATION_SETS)
 
@@ -428,6 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--trials", type=int, default=50)
     bench.add_argument("--out")
     bench.set_defaults(func=cmd_bench)
+    for sub in subs.choices.values():  # a retired flag such as --c must not match --c-g
+        sub.allow_abbrev = False
     return parser
 
 

@@ -1,7 +1,7 @@
 """Encoder and decoder for the two-matrix threshold testing scheme.
 
 A scheme couples a locator matrix G (h x n) with a solver matrix M
-(k x n, certified (d+1)-disjunct).  The full test matrix T interleaves,
+(k x n, (d+1)-disjunct).  The full test matrix T interleaves,
 for each row i of G, one block of 2k+1 pools:
 
     [ G_i ;  M masked by G_i ;  complement(M) masked by G_i ]
@@ -28,7 +28,8 @@ A bundle is the files of `_bundle_files`: G.mat, M.mat and the
 scheme.json manifest, each a function of G, M, the parameters, seed, c,
 c_g and the two certificates; the manifest also records the SHA-256 of
 G.mat and M.mat.  Saving writes them and loading accepts exactly them,
-byte for byte, and only with both certificates passed.  T is not stored:
+byte for byte, only with both certificates passed, and only with the M
+that the construction a certificate names builds.  T is not stored:
 `Scheme.t` builds it, and `tgt export-t` writes it as a matrix file.
 """
 
@@ -43,7 +44,7 @@ import numpy as np
 
 from .bitmat import (BitMatrix, BitVector, DefectiveSet, load_matrix, pack_rows, pack_words,
                      serialize_matrix)
-from .constructions import (DEFAULT_ATTEMPTS, DEFAULT_C, DEFAULT_C_G, DEFAULT_VALIDATION_SETS,
+from .constructions import (DEFAULT_ATTEMPTS, DEFAULT_C_G, DEFAULT_VALIDATION_SETS,
                             DisjunctCertificate, check_memory, construct_disjunct,
                             construct_good, validate_good)
 from .errors import DimensionError, ParameterError, ParseError, VerificationError
@@ -96,15 +97,15 @@ def build_scheme(g: BitMatrix, m: BitMatrix, params: SchemeParams) -> Scheme:
     return Scheme(params, g, m)
 
 
-def generate_scheme(params: SchemeParams, seed: int, c: float = DEFAULT_C,
-                    c_g: float = DEFAULT_C_G, max_attempts: int = DEFAULT_ATTEMPTS,
+def generate_scheme(params: SchemeParams, seed: int, c_g: float = DEFAULT_C_G,
+                    max_attempts: int = DEFAULT_ATTEMPTS,
                     validation_sets: int = DEFAULT_VALIDATION_SETS,
                     ) -> tuple[Scheme, DisjunctCertificate, dict]:
-    """Build and certify M and G, drawing M, G and a held-out validation of G at budget
-    2e from SeedSequence(seed).spawn(3); VerificationError if G fails the held-out sets."""
-    seed_m, seed_g, seed_v = np.random.SeedSequence(seed).spawn(3)
-    m, cert = construct_disjunct(params.n, params.d, np.random.default_rng(seed_m),
-                                 max_attempts=max_attempts, c=c)
+    """Build M, disjunct by construction, and certify G, drawing G and a held-out
+    validation of G at budget 2e from the last two children of SeedSequence(seed).spawn(3)
+    (M draws nothing); VerificationError if G fails the held-out sets."""
+    _, seed_g, seed_v = np.random.SeedSequence(seed).spawn(3)
+    m, cert = construct_disjunct(params.n, params.d)
     g = construct_good(params, np.random.default_rng(seed_g), max_attempts=max_attempts,
                        validation_sets=validation_sets, c_g=c_g)
     validation = validate_good(g, params, np.random.default_rng(seed_v), validation_sets,
@@ -242,9 +243,10 @@ class DecodeReport:
                      for i, r in enumerate(self.reasons))
 
 
-# Rows of M in decode_blocks' screen.  Rows of density 1/(d+2) kill almost
-# every non-defective column within a few dozen negative rows; over the
-# distinct outcomes at n=1024, 48-128 rows time within 12% of each other.
+# Rows of M in decode_blocks' screen.  A Kautz-Singleton M holds each column
+# once in every block of q rows (one block per evaluation point), so the screen
+# tests each column at about 64/q points, and a column outside D passes a point
+# with probability about |D|/q; an identity M screens only its first 64 columns.
 _SCREEN_ROWS = 64
 _REASONS = np.array(["negative", "overflow", "size", "or-mismatch", "accepted"], dtype=object)
 _NEGATIVE, _OVERFLOW, _SIZE, _MISMATCH, _ACCEPTED = range(len(_REASONS))  # codes into _REASONS
@@ -354,7 +356,7 @@ def _manifest_params(manifest, directory: Path) -> SchemeParams:
     names = [f.name for f in fields(SchemeParams)]
     if manifest.get("format") == "tgt-scheme-v1":
         flags = " ".join(f"--{key.replace('_', '-')} {manifest.get(key)}"
-                         for key in (*names, "seed", "c", "c_g"))
+                         for key in (*names, "seed", "c_g"))
         raise ParseError(f"{directory} is a tgt-scheme-v1 bundle, which stored T.mat; "
                          f"rebuild it with `tgt gen {flags} --out <new directory>`")
     if manifest.get("format") != _FORMAT:
@@ -390,8 +392,10 @@ def load_bundle(directory: str | Path) -> tuple[Scheme, dict]:
     that scheme.json records and each file is, byte for byte and up to its
     end, the file save_bundle writes for the stored G, M and the manifest's
     parameters, seed, c, c_g and certificates; ParseError if not.  It is
-    then refused with VerificationError unless M's certificate is verified
-    and G's validation passed.
+    then refused with VerificationError unless M's certificate is verified,
+    G's validation passed and, for a certificate that names a construction
+    ("kautz-singleton" or "identity"), M and the certificate are the ones
+    construct_disjunct builds for n and d.
     """
     directory = Path(directory)
     data = {name: read_file(directory / name) for name in ("scheme.json", "G.mat", "M.mat")}
@@ -419,4 +423,10 @@ def load_bundle(directory: str | Path) -> tuple[Scheme, dict]:
     for key, flag in (("m_certificate", "verified"), ("g_validation", "passed")):
         if not (isinstance(manifest[key], dict) and manifest[key].get(flag) is True):
             raise VerificationError(f"{directory / 'scheme.json'}: {key}.{flag} is not true")
+    method = manifest["m_certificate"].get("method")
+    if method in ("kautz-singleton", "identity"):
+        built, cert = construct_disjunct(params.n, params.d)
+        if m != built or manifest["m_certificate"] != cert.to_json():
+            raise VerificationError(f"{directory / 'M.mat'} is not the {method} matrix "
+                                    f"that its certificate names for n={params.n}, d={params.d}")
     return scheme, manifest

@@ -12,11 +12,15 @@ Three properties matter here:
   exactly u defectives, together they cover D, and every defective lies in
   more than e of them.
 
-The universal properties are exponential to check, so construction is
-randomized and certified per instance: disjunctness by (budgeted)
-exhaustive or sampled enumeration, goodness by sampling defective sets and
-running the fixed-D checker.  Constructions are deterministic given a
-seeded generator and fail hard after max_attempts rather than degrade.
+The solver matrix is disjunct by construction: a Kautz-Singleton code
+(Reed-Solomon over a prime field, concatenated with the identity) or the
+identity, whichever has fewer rows, so it draws nothing and needs no
+search.  Goodness is a property of the defective set, so the locator
+matrix is randomized and validated per instance by sampling defective
+sets and running the fixed-D checker; construction is deterministic given
+a seeded generator and fails hard after max_attempts rather than degrade.
+The universal properties are exponential to check; the verifiers below
+serve `tgt verify` and cross-check the constructions.
 
 Disjunctness is checked on packed column bitsets (uint64 words of rows):
 one kernel tests a batch of (S1, j) pairs on word 0 (rows 0-63) and ANDs
@@ -42,9 +46,8 @@ from .semantics import SchemeParams
 
 DEFAULT_BUDGET = 20_000_000
 DEFAULT_SAMPLED_TRIALS = 20_000
-DEFAULT_C = 3.0  # scale of the solver row count
 DEFAULT_C_G = 2.0  # scale of the locator row count
-DEFAULT_ATTEMPTS = 50  # candidates a construction draws before it fails
+DEFAULT_ATTEMPTS = 50  # candidates construct_good draws before it fails
 DEFAULT_VALIDATION_SETS = 200  # sampled defective sets per cardinality
 _CHUNK_BYTES = 1 << 20  # temporaries per batched disjunctness check
 
@@ -63,11 +66,6 @@ def work_budget() -> int:
     return budget
 
 
-def _check_scale(name: str, c: float) -> None:
-    if not (math.isfinite(c) and c > 0):
-        raise ParameterError(f"{name} must be finite and > 0, got {c}")
-
-
 def _check_at_least(name: str, value: int, low: int) -> None:
     if value < low:
         raise ParameterError(f"{name} must be at least {low}, got {value}")
@@ -81,39 +79,31 @@ def check_memory(nbytes: float, what: str) -> None:
         raise BudgetError(f"{what} does not fit in the {memory} bytes of physical memory")
 
 
-def _drawable_rows(rows: float, n: int) -> int:
-    """ceil(rows), once a candidate's (rows, n) float64 draw is known to fit
-    in physical memory; BudgetError, before anything is allocated, if not."""
-    size = 8 * math.ceil(rows) * n if math.isfinite(rows) else math.inf
-    check_memory(size, f"a {rows:.4g} x {n} float64 candidate draw")
-    return math.ceil(rows)
-
-
-def disjunct_row_count(n: int, d: int, c: float = DEFAULT_C) -> int:
-    """Rows for a random (d+1)-disjunct candidate on n columns."""
-    _check_scale("c", c)
-    return _drawable_rows(c * (d + 2) ** 2 * math.log(n), n)
-
-
 def good_row_count(params: SchemeParams, c_g: float = DEFAULT_C_G) -> int:
     """Rows for a random locator-matrix candidate.
 
     Grows with d0^2 log(n/d0) and with the 1/(1-p)^2 margin; never fewer
-    rows than layers.
+    rows than layers.  BudgetError, before anything is allocated, when a
+    candidate's (rows, n) float64 draw would not fit in physical memory.
     """
-    _check_scale("c_g", c_g)
+    if not (math.isfinite(c_g) and c_g > 0):
+        raise ParameterError(f"c_g must be finite and > 0, got {c_g}")
     d0 = params.d0
-    h = c_g * d0 * d0 * math.log(params.n / d0) / (1.0 - params.p) ** 2
-    return _drawable_rows(max(h, params.d - params.u + 1), params.n)
+    h = max(c_g * d0 * d0 * math.log(params.n / d0) / (1.0 - params.p) ** 2,
+            params.d - params.u + 1)
+    check_memory(8 * math.ceil(h) * params.n if math.isfinite(h) else math.inf,
+                 f"a {h:.4g} x {params.n} float64 candidate draw")
+    return math.ceil(h)
 
 
 @dataclass(frozen=True)
 class DisjunctCertificate:
     d: int
     verified: bool
-    method: str  # "exhaustive" | "sampled"
+    method: str  # "exhaustive" | "sampled" | "kautz-singleton" | "identity"
     trials: int
     witness: tuple[tuple[int, ...], int] | None = None  # (S1, isolated column)
+    code: tuple[int, int, int] | None = None  # a Kautz-Singleton code's (q, kappa, m)
 
     def to_json(self) -> dict:
         out = {
@@ -122,6 +112,8 @@ class DisjunctCertificate:
             "method": self.method,
             "trials": self.trials,
         }
+        if self.code is not None:
+            out.update(zip(("q", "kappa", "m"), self.code))
         if self.witness is not None:
             s1, j = self.witness
             out["witness"] = {"s1": [i + 1 for i in s1], "column": j + 1}
@@ -149,10 +141,6 @@ class ThresholdDisjunctReport:
             out["witness"] = {"critical": [i + 1 for i in s], "zero": [i + 1 for i in z],
                               "column": j + 1}
         return out
-
-
-def _exhaustive_cost(n: int, d: int) -> int:
-    return math.comb(n, d) * n
 
 
 def _uncovered(
@@ -236,7 +224,7 @@ def verify_disjunct(
     if mode == "sampled" and trials < 1:
         raise ParameterError(f"sampled mode needs at least one draw, got trials={trials}")
     if mode == "exhaustive":
-        cost = _exhaustive_cost(n, d)
+        cost = math.comb(n, d) * n
         cap = work_budget()
         if cost > cap:
             raise BudgetError(
@@ -308,36 +296,50 @@ def check_disjunct_slow(m: BitMatrix, d: int) -> bool:
     return True
 
 
-def construct_disjunct(
-    n: int,
-    d: int,
-    rng: np.random.Generator,
-    max_attempts: int = DEFAULT_ATTEMPTS,
-    c: float = DEFAULT_C,
-) -> tuple[BitMatrix, DisjunctCertificate]:
-    """Sample Bernoulli matrices until one verifies as (d+1)-disjunct.
+def _ks_code(n: int, order: int) -> tuple[int, int, int] | None:
+    """(q, kappa, m) of the order-disjunct Kautz-Singleton code on n columns with
+    the fewest rows m*q, the smaller kappa on ties; None if none has fewer than n.
+    Columns are the polynomials of degree < kappa over GF(q), q prime, q^kappa >= n;
+    two agree on at most kappa - 1 of the m = order (kappa - 1) + 1 <= q points."""
+    best, fewest, kappa = None, n, 2
+    while (m := order * (kappa - 1) + 1) ** 2 < fewest:  # q >= m: no later kappa can win
+        q = max(m, round(n ** (1 / kappa)))  # at most the least q with q^kappa >= n
+        while q ** kappa < n or any(q % p == 0 for p in range(2, math.isqrt(q) + 1)):
+            q += 1  # m >= 3, so q runs over primes
+        if m * q < fewest:
+            best, fewest = (q, kappa, m), m * q
+        kappa += 1
+    return best
 
-    Entry density 1/(d+2) and ceil(c (d+2)^2 ln n) rows; verification is
-    exhaustive when it fits the work budget, sampled otherwise.
-    """
+
+def construct_disjunct(n: int, d: int, rng: np.random.Generator | None = None,
+                       ) -> tuple[BitMatrix, DisjunctCertificate]:
+    """The (d+1)-disjunct matrix with the fewest rows of the identity (on ties) and
+    the Kautz-Singleton codes of `_ks_code`, proven by construction; draws nothing,
+    so `rng` is ignored.  Column j is the polynomial whose coefficients, lowest
+    first, are the base-q digits of j; row a*q + s holds the columns whose
+    polynomial takes the value s at the point a, for a < m and s < q."""
     if d < 1:
         raise ParameterError(f"need d >= 1, got {d}")
     if d + 1 >= n:
         raise ParameterError(f"need d+1 < n, got d={d}, n={n}")
-    _check_at_least("max_attempts", max_attempts, 1)
-    k = disjunct_row_count(n, d, c)
-    density = 1.0 / (d + 2)
-    order = d + 1
-    mode = "exhaustive" if _exhaustive_cost(n, order) <= work_budget() else "sampled"
-    for _ in range(max_attempts):
-        m = BitMatrix.random(rng, k, n, density)
-        cert = verify_disjunct(m, order, mode=mode, rng=rng)
-        if cert.verified:
-            return m, cert
-    raise ConstructionError(
-        f"no ({order})-disjunct matrix found in {max_attempts} attempts "
-        f"(n={n}, k={k}, density={density:.3f})",
-    )
+    code = _ks_code(n, d + 1)
+    if code is None:
+        check_memory(n * n, f"a {n} x {n} identity solver matrix")
+        return BitMatrix.identity(n), DisjunctCertificate(d + 1, True, "identity", 0)
+    q, kappa, m = code
+    check_memory(m * q * n, f"a {m * q} x {n} Kautz-Singleton solver matrix")
+    rest, digits = np.arange(n), []
+    for _ in range(kappa):
+        rest, digit = np.divmod(rest, q)
+        digits.append(digit)
+    points, symbols = np.arange(m)[:, None], np.zeros((m, n), np.int64)
+    for digit in reversed(digits):  # Horner's rule at every point, mod q
+        symbols = (symbols * points + digit) % q
+    a = np.zeros((m, q, n), dtype=bool)
+    a[points, symbols, np.arange(n)] = True
+    cert = DisjunctCertificate(d + 1, True, "kautz-singleton", 0, code=code)
+    return BitMatrix._adopt(a.reshape(m * q, n)), cert
 
 
 def verify_threshold_disjunct(g: BitMatrix, d: int, u: int, e: int) -> ThresholdDisjunctReport:

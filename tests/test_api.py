@@ -64,7 +64,10 @@ BENCHMARK_POINTS = (
     (64, 5, 4, 1, 0.31, 20250811), (1024, 4, 2, 1, 0.6, 20250810),
     (256, 4, 2, 1, 0.6, 20250810),
 )
-BENCHMARK_SCHEMES_SHA256 = "4383b6559f4a392d4ae9fb708a5725505893322762822800ec395e1ceaa9d2a4"
+BENCHMARK_SCHEMES_SHA256 = "738b0673a1ca63db765d0b47fc66a90870c79d829a05be292117ca4c7c02c7df"
+# G's payloads and held-out validations alone, recorded while M was still drawn from
+# the seed's first child: building M by construction moves neither.
+BENCHMARK_LOCATORS_SHA256 = "dfeef45ca460ecf90cb8ee5f476bd854b1bf79820adeaf8ce46153ba19464633"
 
 
 def test_benchmark_schemes_are_pinned():
@@ -76,6 +79,15 @@ def test_benchmark_schemes_are_pinned():
         digest.update(scheme.g.packed() + scheme.m.packed())
         digest.update(json.dumps([cert.to_json(), validation], sort_keys=True).encode())
     assert digest.hexdigest() == BENCHMARK_SCHEMES_SHA256
+
+
+def test_benchmark_locators_are_unmoved():
+    digest = hashlib.sha256()
+    for n, d, u, e, p, seed in BENCHMARK_POINTS:
+        scheme, _, validation = tgt.generate_scheme(SchemeParams(n=n, d=d, u=u, e=e, p=p), seed)
+        digest.update(scheme.g.packed())
+        digest.update(json.dumps(validation, sort_keys=True).encode())
+    assert digest.hexdigest() == BENCHMARK_LOCATORS_SHA256
 
 
 def _load(monkeypatch, name, path):

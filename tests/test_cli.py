@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -19,8 +20,10 @@ from tgt import (
     load_matrix,
     serialize_matrix,
     serialize_vector,
+    verify_disjunct,
 )
 from tgt.cli import main
+from tgt.errors import VerificationError
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -103,9 +106,9 @@ class TestVerify:
 
     def test_bundle_m_matches_stored_certificate(self, bundle, capsys):
         manifest = json.loads((bundle / "scheme.json").read_text())
+        assert manifest["m_certificate"]["method"] == "identity"  # n=16, d=3: no smaller code
         code, out = run(capsys, "verify", str(bundle / "M.mat"),
-                        "--d", str(manifest["d"] + 1), "--mode",
-                        manifest["m_certificate"]["method"])
+                        "--d", str(manifest["d"] + 1), "--mode", "exhaustive")
         assert code == 0
         payload = json.loads(out.strip().splitlines()[-1])
         assert payload["verified"] == manifest["m_certificate"]["verified"] is True
@@ -228,11 +231,11 @@ class TestExportT:
         assert json.loads(stdout) == {"out": str(out), "rows": manifest["t"], "cols": 16}
 
     def test_oversized_export_is_a_budget_error(self, bundle, tmp_path, capsys, monkeypatch):
-        """With physical memory reported as 1 MiB, the n=16 T (907,392 entries,
+        """With physical memory reported as 32 pages, the n=16 T (71,808 entries,
         3 bytes each while built) exits 5 before it is allocated or --out made."""
         sysconf = os.sysconf
         monkeypatch.setattr(os, "sysconf",
-                            lambda name: 256 if name == "SC_PHYS_PAGES" else sysconf(name))
+                            lambda name: 32 if name == "SC_PHYS_PAGES" else sysconf(name))
         out = tmp_path / "T.mat"
         tracemalloc.start()
         try:
@@ -243,7 +246,7 @@ class TestExportT:
         assert code == 5
         err = capsys.readouterr().err
         assert err.startswith("budget exceeded:") and "physical memory" in err
-        assert peak < 907_392 // 4
+        assert peak < 71_808 // 2
         assert not out.exists()
 
 
@@ -423,6 +426,39 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("verification failed:") and f"{key}.{flag} is not true" in err
 
+    @pytest.mark.parametrize("n, d, forge", [
+        (16, 3, "reversed"), (64, 2, "reversed"), (64, 2, "identity"),
+    ], ids=["identity-reversed", "kautz-singleton-reversed", "kautz-singleton-as-identity"])
+    def test_forged_disjunct_m_refused(self, tmp_path, capsys, n, d, forge):
+        """M.mat swapped for another (d+1)-disjunct matrix (M's columns reversed,
+        or the identity with an identity certificate where a Kautz-Singleton code
+        has fewer rows), its SHA-256, k, t and certificate rewritten to match,
+        passes every byte check and is refused with exit 4."""
+        directory = tmp_path / "b"
+        assert main(["gen", "--n", str(n), "--d", str(d), "--u", "2", "--e", "1",
+                     "--p", "0.65", "--seed", "7", "--out", str(directory)]) == 0
+        data = (directory / "M.mat").read_bytes()
+        m, kind, header = load_matrix(data)
+        swapped = BitMatrix.identity(n) if forge == "identity" else BitMatrix(m.to_array()[:, ::-1])
+        assert swapped != m and verify_disjunct(swapped, d + 1).verified
+        forged = serialize_matrix(swapped, kind, header)
+        (directory / "M.mat").write_bytes(forged)
+
+        def edit(manifest):
+            manifest["sha256"]["M.mat"] = hashlib.sha256(forged).hexdigest()
+            manifest["k"], manifest["t"] = swapped.rows, (2 * swapped.rows + 1) * manifest["h"]
+            if forge == "identity":
+                manifest["m_certificate"] = {"d": d + 1, "method": "identity", "trials": 0,
+                                             "verified": True}
+        rewrite_manifest(directory, edit)
+        capsys.readouterr()
+        code = main(["encode", "--bundle", str(directory), "--defectives", "1,2",
+                     "--out", str(tmp_path / "y.vec")])
+        assert code == 4
+        assert "M.mat is not the" in capsys.readouterr().err
+        with pytest.raises(VerificationError, match="that its certificate names"):
+            load_bundle(directory)
+
     def test_matrices_swapped(self, bundle, tmp_path, capsys):
         copy = tmp_path / "b"
         shutil.copytree(bundle, copy)
@@ -573,7 +609,7 @@ class TestMalformedInput:
         ["bench", "--n", "1x", "--d", "3", "--u", "2"],
         ["bench", "--n", "16", "--d", "3", "--u", "2", "--e", "x"],
         *(["gen", "--n", "16", "--d", "3", "--u", "2", flag, value, "--out", "unused"]
-          for flag, value in [("--c", "-1"), ("--c", "nan"), ("--c", "inf"), ("--c-g", "nan"),
+          for flag, value in [("--c-g", "-1"), ("--c-g", "0"), ("--c-g", "inf"), ("--c-g", "nan"),
                               ("--max-attempts", "0"), ("--max-attempts", "-2")]),
     ])
     def test_bad_scalar_is_a_usage_error(self, tmp_path, capsys, argv):
@@ -583,12 +619,12 @@ class TestMalformedInput:
         assert not (tmp_path / "unused").exists()
 
     @pytest.mark.parametrize("flag, value", [
-        ("--p", "0.9999999999"), ("--c-g", "1e300"), ("--c", "1e308"), ("--c-g", "1e308"),
-        ("--c", "1e300"), ("--n", "99999999999999"),
+        ("--p", "0.9999999999"), ("--c-g", "1e300"), ("--c-g", "1e308"),
+        ("--n", "99999999999999"),
     ])
     def test_oversized_draw_is_a_budget_error(self, tmp_path, capsys, flag, value):
-        """A candidate whose row count is not finite, or whose float64 draw
-        exceeds physical memory, exits 5 before it is drawn."""
+        """A locator candidate whose row count is not finite, or whose float64
+        draw or solver matrix exceeds physical memory, exits 5 before it is drawn."""
         argv = {"--n": "16", "--d": "3", "--u": "2", flag: value, "--out": str(tmp_path / "b")}
         tracemalloc.start()
         try:
@@ -600,6 +636,15 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("budget exceeded:") and "Traceback" not in err
         assert peak < 1 << 24
+        assert not (tmp_path / "b").exists()
+
+    def test_retired_c_flag(self, tmp_path, capsys):
+        """--c is no flag, and with abbreviations off it does not set --c-g."""
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--n", "16", "--d", "3", "--u", "2", "--c", "3",
+                  "--out", str(tmp_path / "b")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --c 3" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
     def test_negative_threshold_budget(self, bundle, tmp_path, capsys):
@@ -661,9 +706,9 @@ class TestMalformedInput:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_bad_budget_variable(self, tmp_path, capsys, monkeypatch):
+    def test_bad_budget_variable(self, bundle, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("TGT_BUDGET", "abc")
-        code = main(["gen", "--n", "16", "--d", "3", "--u", "2", "--out", str(tmp_path / "b")])
+        code = main(["verify", str(bundle / "M.mat"), "--d", "2", "--out", str(tmp_path / "c.json")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
@@ -692,7 +737,6 @@ _OPTIONAL = {
     "--e": _flag([0, 1], [-1]),
     "--p": _flag([0, 0.5, 0.65], [-0.1, 1, "nan", "x"]),
     "--seed": _flag([0, 1, 7], ["x", -1]),
-    "--c": _flag([3, 2, 1], _SCALES),
     "--c-g": _flag([2, 3], _SCALES),
     "--validation-sets": _flag([1, 20, 50], [0, -1]),
 }

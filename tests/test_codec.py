@@ -31,6 +31,7 @@ from tgt import (
     save_bundle,
     serialize_matrix,
     serialize_vector,
+    verify_disjunct,
 )
 from tgt import codec
 from tgt.cli import main, run_trials
@@ -367,11 +368,9 @@ def reference_decode(scheme, y):
 
 @pytest.fixture(scope="module")
 def scheme32():
-    """A (32, 4, 2) scheme at e=1; M carries a sampled certificate."""
-    params = SchemeParams(n=32, d=4, u=2, e=1, p=0.71)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("TGT_BUDGET", "0")
-        scheme, cert, _ = generate_scheme(params, 32)
+    """A (32, 2, 2) scheme at e=1 whose M is the Kautz-Singleton code (7, 2, 4)."""
+    scheme, cert, _ = generate_scheme(SchemeParams(n=32, d=2, u=2, e=1, p=0.71), 32)
+    assert cert.code == (7, 2, 4)
     return scheme, cert
 
 
@@ -423,7 +422,10 @@ class TestDecodeReference:
                 voted = (j for t in traces if t.accepted for j in t.items)
                 assert report.multiset.at_least(1) == DefectiveSet(voted)
                 seen.update(trace.reason for trace in traces)
-        assert seen == {"negative", "overflow", "size", "or-mismatch", "accepted"}
+        # The survivors of an identity M are exactly the positive rows of the
+        # recovered outcome, so their OR always reproduces it: no or-mismatch.
+        mismatch = set() if scheme.m == BitMatrix.identity(n) else {"or-mismatch"}
+        assert seen == {"negative", "overflow", "size", "accepted", *mismatch}
 
     @pytest.mark.parametrize("fill", [0, 1])
     def test_screen_passes_every_column(self, scheme16, fill):
@@ -479,11 +481,12 @@ class TestDecodeReference:
         assert split >= 20
 
     def test_all_distinct_outcomes(self, scheme16):
-        """Random outcomes on 64 blocks: no two positive blocks agree."""
+        """Random outcomes on 64 blocks of a 200-row M: no two positive blocks agree."""
         scheme, _ = scheme16
-        k = scheme.k
         rng = np.random.default_rng(20)
-        tall = build_scheme(BitMatrix.random(rng, 64, 16, 0.6), scheme.m, scheme.params)
+        tall = build_scheme(BitMatrix.random(rng, 64, 16, 0.6), BitMatrix.random(rng, 200, 16, 0.3),
+                            scheme.params)
+        k = tall.k
         for rate in (0.3, 0.5, 0.9):
             y = (rng.random(tall.tests) < rate).astype(np.uint8)
             view = y.reshape(64, 2 * k + 1)
@@ -708,3 +711,60 @@ class TestBundles:
         (tmp_path / "scheme.json").write_text("{not json")
         with pytest.raises(ParseError):
             load_bundle(tmp_path)
+
+    def test_random_m_with_sampled_certificate_loads(self, tmp_path, scheme16):
+        """A bundle whose M is random and certified by sampling names no
+        construction to rebuild, so it loads as saved, c included."""
+        scheme, _ = scheme16
+        rng = np.random.default_rng(1)
+        m = BitMatrix.random(rng, 208, 16, 0.2)
+        cert = verify_disjunct(m, 4, mode="sampled", rng=rng)
+        assert cert.verified
+        random_m = Scheme(scheme.params, scheme.g, m)
+        save_bundle(tmp_path / "b", random_m, 7, 3.0, 2.0, cert.to_json(), {"passed": True})
+        loaded, manifest = load_bundle(tmp_path / "b")
+        assert loaded.m == m and manifest["m_certificate"] == cert.to_json()
+        assert manifest["c"] == 3.0 and manifest["m_certificate"]["method"] == "sampled"
+
+
+class TestKautzSingletonSchemes:
+    """Acceptance criteria 2, 3, 5 and 6, bounds unchanged, on schemes whose M
+    is a true Kautz-Singleton code (the acceptance grid's M are identities)."""
+
+    @pytest.mark.parametrize("n, d, code", [(256, 4, (17, 2, 6)), (64, 2, (11, 2, 4))])
+    def test_exact_recovery(self, n, d, code):
+        """Clean decodes give the truth with every count above 2e; one flip,
+        uniform or adversarial in turn, still decodes exactly."""
+        u, e = 2, 1
+        scheme, cert, _ = generate_scheme(SchemeParams(n=n, d=d, u=u, e=e, p=0.6), 20250810)
+        assert cert.code == code and scheme.k == code[0] * code[2]
+        rng = np.random.default_rng(n)
+        for trial in range(500):
+            size = int(rng.integers(u, d + 1))
+            truth = DefectiveSet(rng.choice(n, size=size, replace=False).tolist())
+            x = truth.to_vector(n)
+            clean = encode(scheme, x)
+            counts = decode_blocks(scheme, clean).multiset
+            assert counts.at_least(1) == truth
+            assert all(counts.counts[j] > 2 * e for j in truth)
+            if trial % 2:
+                noisy = flip_positions(clean, adversarial_flip_positions(scheme, x, e))
+            else:
+                noisy, _ = inject_errors(clean, e, rng)
+            assert decode_blocks(scheme, noisy).multiset.at_least(e + 1) == truth
+
+    def test_oracle_agreement(self):
+        n, d, u, e = 32, 2, 2, 1
+        scheme, cert, _ = generate_scheme(SchemeParams(n=n, d=d, u=u, e=e, p=0.6), 20250810)
+        assert cert.code == (7, 2, 4)
+        t, rng, singletons = scheme.t, np.random.default_rng(32), 0
+        for _ in range(8):
+            truth = DefectiveSet(rng.choice(n, size=int(rng.integers(u, d + 1)),
+                                            replace=False).tolist())
+            noisy, _ = inject_errors(encode(scheme, truth.to_vector(n)), e, rng)
+            found = brute_force_decode(t, noisy, d, u, budget=e)
+            assert truth in found
+            if found.is_singleton():
+                singletons += 1
+                assert decode_blocks(scheme, noisy).multiset.at_least(e + 1) == found.candidates[0]
+        assert singletons

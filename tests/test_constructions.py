@@ -7,7 +7,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tgt import constructions
@@ -21,7 +21,7 @@ from tgt import (
     verify_disjunct,
     verify_threshold_disjunct,
 )
-from tgt.constructions import check_disjunct_slow, disjunct_row_count, good_row_count
+from tgt.constructions import DisjunctCertificate, check_disjunct_slow, good_row_count
 from tgt.errors import BudgetError, ConstructionError, ParameterError
 from tgt.semantics import SchemeParams
 
@@ -312,7 +312,7 @@ class TestVerifyDisjunctReference:
         """Each mode sizes its batch from the temporaries it holds, so a whole
         order-5 check, all C(32, 5) subsets or the 20,000 draws at n=1024,
         peaks under twice _CHUNK_BYTES (in one batch: about 95 and 13 MiB)."""
-        m = BitMatrix.random(np.random.default_rng(n), disjunct_row_count(n, 4), n, 1 / 6)
+        m = BitMatrix.random(np.random.default_rng(n), random_rows(n, 4), n, 1 / 6)
         tracemalloc.start()
         try:
             cert = verify_disjunct(m, 5, mode=mode, rng=np.random.default_rng(1))
@@ -328,21 +328,26 @@ class TestVerifyDisjunctReference:
             verify_disjunct(BitMatrix.ones(3, 6), 1, mode="sampled", trials=trials)
 
 
-def attempts_of(monkeypatch) -> list:
-    """Record every certificate construct_disjunct asks verify_disjunct for."""
+def random_rows(n: int, d: int, c: float = 3.0) -> int:
+    """ceil(c (d+2)^2 ln n): rows of a Bernoulli(1/(d+2)) candidate for an
+    order-(d+1) check, the sizes the certifier pins below were recorded at."""
+    return math.ceil(c * (d + 2) ** 2 * math.log(n))
+
+
+def certified_walk(n: int, d: int, seed: int, c: float, mode: str):
+    """Draw Bernoulli(1/(d+2)) candidates of random_rows(n, d, c) rows and
+    certify each as (d+1)-disjunct in `mode`, all from one generator, until
+    one verifies; returns (that candidate, every certificate, the generator)."""
+    rng = np.random.default_rng(seed)
     certs = []
-    inner = constructions.verify_disjunct
-
-    def recording(*args, **kwargs):
-        certs.append(inner(*args, **kwargs))
-        return certs[-1]
-
-    monkeypatch.setattr(constructions, "verify_disjunct", recording)
-    return certs
+    while not certs or not certs[-1].verified:
+        m = BitMatrix.random(rng, random_rows(n, d, c), n, 1 / (d + 2))
+        certs.append(verify_disjunct(m, d + 1, mode=mode, rng=rng))
+    return m, certs, rng
 
 
 # Recorded with the per-subset and per-draw loops: every attempt's (trials,
-# witness), the accepted M's packed digest and the generator's next draw.
+# witness), the accepted candidate's packed digest and the generator's next draw.
 CONSTRUCT_PINS = {
     "exhaustive": (
         (16, 2, 2, 1.4),
@@ -362,23 +367,45 @@ CONSTRUCT_PINS = {
 }
 
 
+def ks_reference(n: int, d: int):
+    """construct_disjunct's choice and matrix in plain Python: every prime q
+    and kappa >= 2 with q^kappa >= n and m = (d+1)(kappa-1)+1 <= q, fewest rows
+    m*q, the identity on ties and then the smaller kappa; column j is the
+    polynomial with j's base-q digits as coefficients, lowest first, and row
+    a*q + s holds the columns that take the value s at the point a."""
+    order, best = d + 1, (n, 0, None)  # (rows, kappa, (q, kappa, m))
+    for kappa in range(2, n.bit_length() + 1):
+        m = order * (kappa - 1) + 1
+        for q in range(m, n + 1):
+            if q ** kappa >= n and all(q % p for p in range(2, q)):
+                best = min(best, (m * q, kappa, (q, kappa, m)))
+                break
+    if best[2] is None:
+        return [[int(i == j) for j in range(n)] for i in range(n)], None
+    q, kappa, m = best[2]
+    rows = [[0] * n for _ in range(m * q)]
+    for j in range(n):
+        coefficients = [j // q ** i % q for i in range(kappa)]
+        for a in range(m):
+            rows[a * q + sum(c * a ** i for i, c in enumerate(coefficients)) % q][j] = 1
+    return rows, best[2]
+
+
 class TestConstructDisjunct:
     @pytest.mark.parametrize("method", sorted(CONSTRUCT_PINS))
-    def test_pinned_attempts(self, monkeypatch, method):
+    def test_pinned_attempts(self, method):
+        """The certifiers' walk over random candidates, pinned attempt by attempt."""
         (n, d, seed, c), attempts, digest, next_draw = CONSTRUCT_PINS[method]
-        certs = attempts_of(monkeypatch)
-        rng = np.random.default_rng(seed)
-        m, cert = construct_disjunct(n, d, rng, c=c)
+        m, certs, rng = certified_walk(n, d, seed, c, method)
         assert [(x.trials, x.witness) for x in certs] == attempts
         assert all(x.method == method and x.d == d + 1 for x in certs)
-        assert cert == certs[-1] and cert.verified
         assert hashlib.sha256(m.packed()).hexdigest() == digest
         assert int(rng.integers(2**63)) == next_draw
 
     def test_small_two_disjunct(self):
         m, cert = construct_disjunct(8, 1, np.random.default_rng(0))
-        assert cert.verified and cert.d == 2 and cert.method == "exhaustive"
-        assert m.rows == disjunct_row_count(8, 1)
+        assert cert == DisjunctCertificate(2, True, "identity", 0)
+        assert m == BitMatrix.identity(8)
         assert check_disjunct_slow(m, 2)
 
     def test_three_disjunct(self):
@@ -392,20 +419,60 @@ class TestConstructDisjunct:
         with pytest.raises(ParameterError):
             construct_disjunct(8, 0, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("attempts", [0, -2])
-    def test_needs_an_attempt(self, attempts):
-        with pytest.raises(ParameterError):
-            construct_disjunct(8, 1, np.random.default_rng(0), max_attempts=attempts)
-
-    def test_out_of_attempts(self):
-        # c=0.1 gives 2 rows, too few for 8 columns to be 2-disjunct.
-        with pytest.raises(ConstructionError, match="in 3 attempts"):
-            construct_disjunct(8, 1, np.random.default_rng(0), max_attempts=3, c=0.1)
-
     def test_deterministic_in_seed(self):
         m1, _ = construct_disjunct(12, 2, np.random.default_rng(5))
         m2, _ = construct_disjunct(12, 2, np.random.default_rng(5))
         assert m1 == m2
+
+    # (9, 1), (20, 2) and (55, 3) tie: a code has exactly n rows, and the identity wins.
+    @pytest.mark.parametrize("n,d", [(8, 1), (9, 1), (12, 2), (20, 2), (30, 2), (32, 2), (55, 3),
+                                     (64, 2), (100, 3), (256, 4), (343, 2), (1024, 4)])
+    def test_matches_plain_reference(self, n, d):
+        m, cert = construct_disjunct(n, d)
+        rows, code = ks_reference(n, d)
+        assert m == BitMatrix(rows) and cert.code == code and cert.trials == 0
+        assert cert.method == ("identity" if code is None else "kautz-singleton")
+        assert m == construct_disjunct(n, d, np.random.default_rng(n))[0]  # draws nothing
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(3, 4096), d=st.integers(1, 8))
+    @example(n=20, d=2)  # the code (5, 2, 4) has n rows: a tie the identity wins
+    def test_fewest_rows(self, n, d):
+        """No prime q <= n and kappa >= 2 with q^kappa >= n and m <= q gives
+        fewer rows than the chosen code, nor the same rows at a smaller kappa."""
+        if d + 1 >= n:
+            return
+        primes = [p for p in range(2, n + 1) if all(p % i for i in range(2, math.isqrt(p) + 1))]
+        m, cert = construct_disjunct(n, d)
+        chosen = (m.rows, 1)  # the identity: n rows
+        if cert.code is not None:
+            q, kappa, points = cert.code
+            assert q in primes and q ** kappa >= n and points == (d + 1) * (kappa - 1) + 1 <= q
+            chosen = (points * q, kappa)
+            assert chosen[0] < n
+        assert m.rows == chosen[0] and m.cols == n
+        for q in primes:
+            kappa = 2
+            while q ** (kappa - 1) < n:  # a larger kappa only grows m
+                rows = ((d + 1) * (kappa - 1) + 1) * q
+                if q ** kappa >= n and rows <= q * q:
+                    assert (rows, kappa) >= chosen
+                kappa += 1
+
+    @pytest.mark.parametrize("n", [32, 49, 64])
+    def test_kautz_singleton_proofs(self, n):
+        """A true KS M at d=2, proven 3-disjunct by both verifiers."""
+        m, cert = construct_disjunct(n, 2)
+        assert cert.method == "kautz-singleton" and m.rows < n
+        assert verify_disjunct(m, 3, mode="exhaustive").verified
+        assert check_disjunct_slow(m, 3)
+
+    def test_dense_size_checked_first(self, monkeypatch):
+        monkeypatch.setattr(constructions.os, "sysconf", lambda name: 1)
+        with pytest.raises(BudgetError, match="1024 x 1024 identity"):
+            construct_disjunct(1024, 500)
+        with pytest.raises(BudgetError, match="121 x 1024 Kautz-Singleton"):
+            construct_disjunct(1024, 4)
 
 
 class TestVerifyThresholdDisjunct:
@@ -719,8 +786,7 @@ class TestThresholdDisjunctImpliesGood:
                 assert is_good_for(g, DefectiveSet(items), u, 1).is_good
 
 
-def test_disjunct_row_count_formula():
-    assert disjunct_row_count(8, 1) == math.ceil(3 * 9 * math.log(8))
+def test_good_row_count_formula():
     assert good_row_count(SchemeParams(n=32, d=4, u=2), 2.0) == math.ceil(
         2 * 4 * math.log(16)
     )

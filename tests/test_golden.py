@@ -24,24 +24,24 @@ GEN = ["gen", "--d", "3", "--u", "2", "--e", "1", "--p", "0.65", "--seed", "7"]
 
 BUNDLE_DIGESTS = {
     16: {
-        "G.mat": "797f0a294d114553f8d0fe0dc6eeb984330efde28d49b74523e4561382935ec1",
-        "M.mat": "7bc2aae94d1c1ef0cfbbb9dd7f8fd725327ef4dbf646d1752e4f6c7e9e2cc308",
-        "scheme.json": "2203bdfd629106b968707013d23e803154ccdafc76a103f71d825dc30a20342c",
+        "G.mat": "a924f80ca713ef3481af568b6316bddc7045b70d17ec9594d67db37de8ef1ba4",
+        "M.mat": "1964436b27526eef5022b161146cf84091dd420e3bbba40bfb1f222f20622acc",
+        "scheme.json": "c4ded73ca0d5d13936fa9e853b2c7c70dabb944d83433de898082dbe5dc5549d",
     },
     13: {
-        "G.mat": "052b2c65dfb0a6892a528cf19b43227fd1aba726b2c3407a6c6d7c56f7746156",
-        "M.mat": "771104ffd8fdb7a9b7fb075f91addd2fd5b126e08ce79b059dbd26c11a796425",
-        "scheme.json": "86f80a5e3a0b4af98aed596c93ac9eb4ffa35dd5d4cfdf93b95b2ff34e992923",
+        "G.mat": "15461c2f7f4f973af9295c244c97c92f16e78d9a5e3f81e79596e32c282b4c2d",
+        "M.mat": "96108b5e3927f538509583d6bcd015d52ac2aaaf4065288971b06852d1571a4a",
+        "scheme.json": "e75317c735be5bd87e6adc359b0f49248ffee2c0a99cf11b4d2eae65f9dba86d",
     },
 }
 # `tgt export-t` of the bundles above: the T.mat that tgt-scheme-v1 bundles stored.
 T_DIGESTS = {
-    16: "2699eadd17d26717d3161134a3de28856805ec9e5fa77c77238629f717c2aa1b",
-    13: "c35d07b77bab9661719955d21713c926b240f1c5ae4bc3659b44c688101150a7",
+    16: "1933faad2b483a31f656184f22c154ee85f5c30de5c511ac01d23773d035ba1d",
+    13: "eeed00c260a7364cb7e1986313b58b97068d39c8c29a6a675d7aa78b7305bfb1",
 }
-SIMULATE_CSV = "92f48aa6b608a90c4d2dba910690e2e8edbb96f8209bba9b9c2cfdb46ae6708a"
-ADVERSARIAL_CSV = "8c78cce61a5d5e542cb194a40dd2706043c5902b4abd71dec91efd2720b1063d"
-ENCODE_VEC = "3278fd322c7f604c550ff66a2d911f8de61d26510417d1334383de45112b1492"
+SIMULATE_CSV = "c738402e3a94d4d340d41d64459e3e8623e782e67729fdbd92180ff4d246c886"
+ADVERSARIAL_CSV = "42c6cbc83d477478cf5bbc53e3d0a67b1158650d097d84f5934702ed5a5a41e6"
+ENCODE_VEC = "7a78f16c074393cbaf9c8b39c20cfc97a0ccba1d2aa48e609d7e28ab450b910e"
 DECODE_JSON = "560ab91419e037b7372f40ff4d2dd91936e7bec7c24196cb32efc7501290e7ac"
 
 # `tgt simulate` summaries (minus the timing) with sub-threshold trials, which
@@ -51,25 +51,36 @@ SIMULATE_SUMMARY = {
     "subthreshold_empty": 10, "subthreshold_trials": 10, "trials": 30, "uncertified": False,
 }
 
-# `tgt verify` payloads (minus "path") for the n=16 bundle's M.mat, with exit codes.
+# `tgt verify` payloads (minus "path") for the n=16 bundle's files, with exit
+# codes.  Its M is the 16 x 16 identity, disjunct to every order below 16, so
+# the failing walks run on G.mat.
 VERIFY_PAYLOADS = {
-    "d7-exhaustive": (["--d", "7"], 0, {
+    "d7-exhaustive": ("M.mat", ["--d", "7"], 0, {
         "check": "disjunct", "d": 7, "kind": "disjunct", "method": "exhaustive",
         "trials": 102960, "verified": True,
     }),
-    "d8-exhaustive": (["--d", "8"], 4, {
+    "d8-exhaustive": ("M.mat", ["--d", "8"], 0, {
         "check": "disjunct", "d": 8, "kind": "disjunct", "method": "exhaustive",
-        "trials": 38728, "verified": False,
-        "witness": {"column": 10, "s1": [1, 4, 5, 6, 8, 11, 12, 14]},
+        "trials": 102960, "verified": True,
     }),
-    "d8-sampled": (["--d", "8", "--mode", "sampled", "--trials", "20000", "--seed", "3"], 4, {
+    "d8-sampled": ("M.mat", ["--d", "8", "--mode", "sampled", "--trials", "20000", "--seed", "3"],
+                   0, {
         "check": "disjunct", "d": 8, "kind": "disjunct", "method": "sampled",
-        "trials": 3967, "verified": False,
-        "witness": {"column": 5, "s1": [2, 3, 4, 7, 8, 9, 10, 16]},
+        "trials": 20000, "verified": True,
     }),
-    "d6-sampled": (["--d", "6", "--mode", "sampled", "--trials", "20000", "--seed", "3"], 0, {
+    "d6-sampled": ("M.mat", ["--d", "6", "--mode", "sampled", "--trials", "20000", "--seed", "3"],
+                   0, {
         "check": "disjunct", "d": 6, "kind": "disjunct", "method": "sampled",
         "trials": 20000, "verified": True,
+    }),
+    "g-d2-exhaustive": ("G.mat", ["--d", "2"], 4, {
+        "check": "disjunct", "d": 2, "kind": "good", "method": "exhaustive",
+        "trials": 252, "verified": False, "witness": {"column": 8, "s1": [2, 5]},
+    }),
+    "g-d2-sampled": ("G.mat", ["--d", "2", "--mode", "sampled", "--trials", "20000", "--seed", "3"],
+                     4, {
+        "check": "disjunct", "d": 2, "kind": "good", "method": "sampled",
+        "trials": 186, "verified": False, "witness": {"column": 9, "s1": [4, 15]},
     }),
 }
 
@@ -149,9 +160,9 @@ def test_encode_and_decode_digests(bundles, tmp_path):
 
 @pytest.mark.parametrize("case", sorted(VERIFY_PAYLOADS))
 def test_verify_payloads(bundles, tmp_path, capsys, case):
-    flags, code, expected = VERIFY_PAYLOADS[case]
+    name, flags, code, expected = VERIFY_PAYLOADS[case]
     capsys.readouterr()
-    args = ["verify", str(bundles / "b16" / "M.mat"), *flags, "--out", str(tmp_path / "c.json")]
+    args = ["verify", str(bundles / "b16" / name), *flags, "--out", str(tmp_path / "c.json")]
     assert main(args) == code
     payload = json.loads(capsys.readouterr().out)
     del payload["path"]
@@ -201,7 +212,7 @@ def _flip_first_bit(payload: bytearray) -> None:
 
 
 def _set_padding_bit(payload: bytearray) -> None:
-    payload[-1] |= 0x80  # 123 x 13 and 193 x 13 bits leave padding in the last word
+    payload[-1] |= 0x80  # 123 x 13 and 13 x 13 bits leave padding in the last word
 
 
 def _wrong_rows(data: bytes) -> bytes:

@@ -12,6 +12,7 @@ from tgt import (
     BitMatrix,
     BitVector,
     DefectiveSet,
+    Scheme,
     apply_threshold,
     brute_force_decode,
     decode_blocks,
@@ -133,10 +134,11 @@ class TestBatchedWalk:
         assert [c.indices for c in found.candidates] == reference_decode(t, y, d, u, mismatches)
 
     def test_memory_is_bounded(self):
-        """The n=16 scheme of the benchmark's grid-small workload has 88,821
-        tests; a fixed 1024-candidate batch held 243 MiB of counts there."""
+        """The n=16 G of the benchmark's grid-small workload beside a 208-row M
+        gives 88,821 tests; a fixed 1024-candidate batch held 243 MiB of counts there."""
         params = SchemeParams(n=16, d=3, u=2, e=1, p=0.72)
-        scheme, _, _ = generate_scheme(params, 20250811, 3.0, 2.0)
+        g = generate_scheme(params, 20250811)[0].g
+        scheme = Scheme(params, g, BitMatrix.random(np.random.default_rng(0), 208, 16, 0.2))
         t = scheme.t
         truth = DefectiveSet([2, 9])
         noisy, _ = inject_errors(encode(scheme, truth.to_vector(16)), 1, np.random.default_rng(3))
