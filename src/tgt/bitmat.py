@@ -149,8 +149,8 @@ class BitMatrix(_Bits):
         return cls(np.eye(n, dtype=np.uint8))
 
     @classmethod
-    def random(cls, rng: np.random.Generator, rows: int, cols: int, density) -> "BitMatrix":
-        """1 where a (rows, cols) uniform draw is below `density`: a float or (rows, 1) array."""
+    def random(cls, rng: np.random.Generator, rows: int, cols: int, density: float) -> "BitMatrix":
+        """1 where a (rows, cols) uniform draw is below `density`, entry by entry."""
         return cls._adopt(rng.random((rows, cols)) < density)
 
     @property

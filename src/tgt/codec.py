@@ -261,12 +261,12 @@ def decode_blocks(scheme: Scheme, y: BitVector) -> DecodeReport:
     distinct outcome, which depends only on D ∩ supp(G_i): support D and
     e flips give at most sum_{s=u..|D|} C(|D|, s) + e (random outcomes are
     all distinct).  The cover decode screens every column on M's first
-    64 rows, then applies the full rule to the columns that pass for some
-    outcome.  A block's reason is the first that applies of negative,
-    overflow (sizes > d+1), size, or-mismatch and accepted.  The report
-    keeps those reasons, each accepted block's items and their occurrence
-    counts, whose `at_least(e + 1)` is the set that tolerates e flipped
-    outcomes.
+    64 rows, which is the full rule when M has no more, else applies the
+    rule to the columns that pass for some outcome.  A block's reason is
+    the first that applies of negative, overflow (sizes > d+1), size,
+    or-mismatch and accepted.  The report keeps those reasons, each
+    accepted block's items and their occurrence counts, whose
+    `at_least(e + 1)` is the set that tolerates e flipped outcomes.
     """
     h, k = scheme.h, scheme.k
     split_outcome(y, h, k)
@@ -278,7 +278,8 @@ def decode_blocks(scheme: Scheme, y: BitVector) -> DecodeReport:
     distinct, inverse = _distinct_rows(yprime)  # (U, k); block b of `positive` is row inverse[b]
     head = _survivors(ma[:_SCREEN_ROWS], distinct[:, :_SCREEN_ROWS])  # (U, n)
     cols = np.flatnonzero(head.any(axis=0))  # the rest are dead in every block
-    alive = _survivors(sub := ma[:, cols], distinct)  # (U, |cols|), in item order
+    sub = ma[:, cols]
+    alive = head[:, cols] if k <= _SCREEN_ROWS else _survivors(sub, distinct)  # (U, |cols|)
     sizes = alive.sum(axis=1)
     sized = sizes == u
     picks = np.nonzero(alive[sized])[1].reshape(-1, u)

@@ -15,10 +15,10 @@ Three properties matter here:
 The solver matrix is disjunct by construction: a Kautz-Singleton code
 (Reed-Solomon over a prime field, concatenated with the identity) or the
 identity, whichever has fewer rows, so it draws nothing and needs no
-search.  Goodness is a property of the defective set, so the locator
-matrix is randomized and validated per instance by sampling defective
-sets and running the fixed-D checker; construction is deterministic given
-a seeded generator and fails hard after max_attempts rather than degrade.
+search.  Goodness is a property of the defective set, so each locator
+candidate is drawn at density u/d and validated on defective sets sampled
+from a stream of its own; construction is deterministic given a seeded
+generator and fails hard after max_attempts rather than degrade.
 The universal properties are exponential to check; the verifiers below
 serve `tgt verify` and cross-check the constructions.
 
@@ -28,7 +28,7 @@ later words only for the few pairs it leaves open.  Batches of
 lexicographic subsets (exhaustive: each (d-1)-prefix once, its last
 columns expanded in numpy) or of (j, S1) draws (sampled), sized from the
 temporaries each mode holds, replace one Python step per subset or draw;
-certificates, witnesses and generator states equal the step-by-step walk.
+certificates and witnesses equal the step-by-step walk.
 """
 
 from __future__ import annotations
@@ -82,15 +82,14 @@ def check_memory(nbytes: float, what: str) -> None:
 def good_row_count(params: SchemeParams, c_g: float = DEFAULT_C_G) -> int:
     """Rows for a random locator-matrix candidate.
 
-    Grows with d0^2 log(n/d0) and with the 1/(1-p)^2 margin; never fewer
-    rows than layers.  BudgetError, before anything is allocated, when a
-    candidate's (rows, n) float64 draw would not fit in physical memory.
+    Grows with d0^2 log(n/d0) and with the 1/(1-p)^2 margin; positive, as
+    d0 < n.  BudgetError, before anything is allocated, when a candidate's
+    (rows, n) float64 draw would not fit in physical memory.
     """
     if not (math.isfinite(c_g) and c_g > 0):
         raise ParameterError(f"c_g must be finite and > 0, got {c_g}")
     d0 = params.d0
-    h = max(c_g * d0 * d0 * math.log(params.n / d0) / (1.0 - params.p) ** 2,
-            params.d - params.u + 1)
+    h = c_g * d0 * d0 * math.log(params.n / d0) / (1.0 - params.p) ** 2
     check_memory(8 * math.ceil(h) * params.n if math.isfinite(h) else math.inf,
                  f"a {h:.4g} x {params.n} float64 candidate draw")
     return math.ceil(h)
@@ -186,15 +185,11 @@ def _distinct_draws(gen: np.random.Generator, n: int, count: int, size: int) -> 
 def _first_failure(gen: np.random.Generator, n: int, size: int, total: int, batch: int, failing):
     """Draw `total` sets of `size` distinct items out of n, `batch` at a time, until
     `failing(draws)` (ascending indices of a batch's failing rows) names one; returns
-    its (index, items list), `gen` redrawn to end where a set-by-set walk would, or None."""
+    its (index, items list), or None.  `gen` ends past the last batch drawn."""
     for start in range(0, total, batch):
-        state = gen.bit_generator.state
         draws = _distinct_draws(gen, n, min(batch, total - start), size)
         if len(failed := failing(draws)):
-            t = int(failed[0])
-            gen.bit_generator.state = state
-            _distinct_draws(gen, n, t + 1, size)
-            return start + t, draws[t].tolist()
+            return start + int(failed[0]), draws[failed[0]].tolist()
     return None
 
 
@@ -213,8 +208,8 @@ def verify_disjunct(
     and including the first failing subset, whose lowest non-isolated
     column is the witness.  Sampled mode draws `trials` uniform (S1, j) pairs,
     d + 1 distinct columns each (j, then S1) from one `rng.integers` draw
-    of ranks, and stops at the first violation, leaving `rng` just past that
-    draw; it can only ever certify "no violation found in `trials` draws".
+    of ranks, and stops at the first violation, leaving `rng` past the batch
+    that held it; it can only ever certify "no violation found in `trials` draws".
     """
     n = m.cols
     if d < 1 or d >= n:
@@ -443,24 +438,21 @@ def construct_good(
 ) -> BitMatrix:
     """Build a locator matrix validated at budget 2e on sampled sets.
 
-    Rows come in one layer per target cardinality s in {u..d}; a layer-s
-    entry is 1 with probability u/s, so a layer-s row meets an s-sized
-    defective set in exactly u items with constant probability.  Layers
-    split the total row count as evenly as possible, the first ones taking
-    the remainder; each candidate is one draw of h x n uniforms against
-    its rows' densities.  Every candidate is validated with
-    `validation_sets` sampled defective sets per cardinality at budget 2e;
-    the last failure is reported if all attempts are exhausted.
+    Every entry of a candidate is 1 with probability u/d, so a row meets a
+    defective set of any size in [u, d] in exactly u items with constant
+    probability.  Each attempt draws its h x n candidate from `rng`, then
+    the seed of a stream of its own that validates it with `validation_sets`
+    sampled defective sets per cardinality at budget 2e: every attempt takes
+    the same amount from `rng`, however far its check drew.  The last
+    failure is reported if all attempts are exhausted.
     """
     _check_at_least("max_attempts", max_attempts, 1)
     h = good_row_count(params, c_g)
-    sizes = range(params.u, params.d + 1)
-    per_layer = [len(rows) for rows in np.array_split(range(h), len(sizes))]
-    density = np.repeat([params.u / s for s in sizes], per_layer)[:, None]  # one per row of G
     last_failure = None
     for _ in range(max_attempts):
-        g = BitMatrix.random(rng, h, params.n, density)
-        result = validate_good(g, params, rng, validation_sets, 2 * params.e)
+        g = BitMatrix.random(rng, h, params.n, params.u / params.d)
+        check = np.random.default_rng(rng.integers(2**63))
+        result = validate_good(g, params, check, validation_sets, 2 * params.e)
         if result["passed"]:
             return g
         last_failure = result["failure"]

@@ -64,10 +64,10 @@ BENCHMARK_POINTS = (
     (64, 5, 4, 1, 0.31, 20250811), (1024, 4, 2, 1, 0.6, 20250810),
     (256, 4, 2, 1, 0.6, 20250810),
 )
-BENCHMARK_SCHEMES_SHA256 = "738b0673a1ca63db765d0b47fc66a90870c79d829a05be292117ca4c7c02c7df"
-# G's payloads and held-out validations alone, recorded while M was still drawn from
-# the seed's first child: building M by construction moves neither.
-BENCHMARK_LOCATORS_SHA256 = "dfeef45ca460ecf90cb8ee5f476bd854b1bf79820adeaf8ce46153ba19464633"
+BENCHMARK_SCHEMES_SHA256 = "937ddd127fa30d4bc3b9ab047fb82d55a476289777112b1054a6a4b07eb362c0"
+# G's payloads and held-out validations alone, recorded with G drawn at one density
+# u/d and each construction attempt checked from a stream of its own.
+BENCHMARK_LOCATORS_SHA256 = "64ca60b1cc25e28041d054d52f9f1b2fc9fbb999e51152cecf3d9510ada11e75"
 
 
 def test_benchmark_schemes_are_pinned():

@@ -117,13 +117,12 @@ class TestAdopt:
             assert adopted.to_array().flags.writeable is False
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_random_per_row_density(self, seed):
-        # One probability per row, as construct_good draws its layered candidates.
-        h, n = 7, 33
-        density = np.linspace(0.1, 0.9, h)
+    def test_random_density(self, seed):
+        # One probability for every entry, as construct_good draws its candidates.
+        h, n, density = 7, 33, 0.3 + 0.2 * seed
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        m = BitMatrix.random(ours, h, n, density[:, None])
-        assert m == BitMatrix(theirs.random((h, n)) < density[:, None])
+        m = BitMatrix.random(ours, h, n, density)
+        assert m == BitMatrix(theirs.random((h, n)) < density)
         assert m.to_array().flags.writeable is False
         assert ours.bit_generator.state == theirs.bit_generator.state
 

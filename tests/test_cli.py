@@ -86,9 +86,10 @@ class TestGen:
         ("bench", ["--trials", "1", "--out", "{dir}/bench.csv"]),
     ], ids=["gen", "simulate", "bench"])
     def test_failed_held_out_validation(self, tmp_path, capsys, command, extra):
-        """Seed 7 at p=0.5 builds a G that fails one of its held-out defective sets."""
-        argv = [command, "--n", "16", "--d", "3", "--u", "2", "--e", "1", "--p", "0.5",
-                "--seed", "7", *(a.format(dir=tmp_path) for a in extra)]
+        """At n=32, d=4, p=0.5 and half the default c_g, seed 0 builds a G that
+        fails one of its held-out defective sets."""
+        argv = [command, "--n", "32", "--d", "4", "--u", "2", "--e", "1", "--p", "0.5",
+                "--c-g", "1", "--seed", "0", *(a.format(dir=tmp_path) for a in extra)]
         assert main(argv) == 4
         assert "held-out defective set" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []

@@ -448,8 +448,10 @@ class TestDecodeReference:
 
     def test_repeated_locator_rows(self, scheme16, monkeypatch):
         """64 locator rows drawn from 4: copies of a row share one recovered
-        outcome, the cover rule runs once per distinct outcome, and a flip
-        in one copy's y-block splits that copy off from the others."""
+        outcome, the cover rule runs once per distinct outcome (M is the
+        16 x 16 identity, so the 64-row screen is the whole rule and runs
+        alone), and a flip in one copy's y-block splits that copy off from
+        the others."""
         scheme, _ = scheme16
         k = scheme.k
         rows_seen = []
@@ -476,7 +478,7 @@ class TestDecodeReference:
             split += distinct == clean + len(flips) > clean
             rows_seen.clear()
             decode_blocks(tall, BitVector(y))
-            assert rows_seen == [distinct, distinct] and distinct <= 4 + len(flips)
+            assert rows_seen == [distinct] and distinct <= 4 + len(flips)
             decode_matches_reference(tall, BitVector(y))
         assert split >= 20
 

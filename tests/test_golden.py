@@ -24,25 +24,25 @@ GEN = ["gen", "--d", "3", "--u", "2", "--e", "1", "--p", "0.65", "--seed", "7"]
 
 BUNDLE_DIGESTS = {
     16: {
-        "G.mat": "a924f80ca713ef3481af568b6316bddc7045b70d17ec9594d67db37de8ef1ba4",
+        "G.mat": "80e1a0e1d29b2455aba3c22a1caada8023e5079ac6a71d78c6ce353226d084b4",
         "M.mat": "1964436b27526eef5022b161146cf84091dd420e3bbba40bfb1f222f20622acc",
-        "scheme.json": "c4ded73ca0d5d13936fa9e853b2c7c70dabb944d83433de898082dbe5dc5549d",
+        "scheme.json": "228c8bfbed4f6e80ef3c5c88d5f828505540912656c9dd80ae8334756b270aee",
     },
     13: {
-        "G.mat": "15461c2f7f4f973af9295c244c97c92f16e78d9a5e3f81e79596e32c282b4c2d",
+        "G.mat": "1814037f70975622b0bc6f7f4fdc2d5e85aa75bef7e41686b7158f3d7488ab2f",
         "M.mat": "96108b5e3927f538509583d6bcd015d52ac2aaaf4065288971b06852d1571a4a",
-        "scheme.json": "e75317c735be5bd87e6adc359b0f49248ffee2c0a99cf11b4d2eae65f9dba86d",
+        "scheme.json": "8c2ca80765ad7ce2a745bc5e3f534fc3ce033b0cdbf64b25b4cbe1d5a613f24e",
     },
 }
 # `tgt export-t` of the bundles above: the T.mat that tgt-scheme-v1 bundles stored.
 T_DIGESTS = {
-    16: "1933faad2b483a31f656184f22c154ee85f5c30de5c511ac01d23773d035ba1d",
-    13: "eeed00c260a7364cb7e1986313b58b97068d39c8c29a6a675d7aa78b7305bfb1",
+    16: "823ac0a6a298ca51f120d84a6c9945bb7b04af4759db6a40604ee602beee3452",
+    13: "0f75cade62a2b657034264ebbff820d1355f6bb941a7ded8589a6898f3b7c79c",
 }
-SIMULATE_CSV = "c738402e3a94d4d340d41d64459e3e8623e782e67729fdbd92180ff4d246c886"
-ADVERSARIAL_CSV = "42c6cbc83d477478cf5bbc53e3d0a67b1158650d097d84f5934702ed5a5a41e6"
-ENCODE_VEC = "7a78f16c074393cbaf9c8b39c20cfc97a0ccba1d2aa48e609d7e28ab450b910e"
-DECODE_JSON = "560ab91419e037b7372f40ff4d2dd91936e7bec7c24196cb32efc7501290e7ac"
+SIMULATE_CSV = "417b2e40fe879fa43ec8a792ec4ce62543d1e615ba767489c589de75e4566461"
+ADVERSARIAL_CSV = "5ca0e46551ca486ec5b0ef0c35ff92ec648d2104d1e59f0623d192499a80ea3b"
+ENCODE_VEC = "a3092d333b7d39d84e311eed6758a2b6f5f116a53dce88eae26813a4f1236dbe"
+DECODE_JSON = "a0f8f07873ac54b7214fc0ec586e5a957ee0d1d03ca0a36088b0d5f7f2a8cc2f"
 
 # `tgt simulate` summaries (minus the timing) with sub-threshold trials, which
 # the golden CSVs above do not reach.
@@ -53,7 +53,7 @@ SIMULATE_SUMMARY = {
 
 # `tgt verify` payloads (minus "path") for the n=16 bundle's files, with exit
 # codes.  Its M is the 16 x 16 identity, disjunct to every order below 16, so
-# the failing walks run on G.mat.
+# the failing walks run on G.mat, which is 2-disjunct and not 3-disjunct.
 VERIFY_PAYLOADS = {
     "d7-exhaustive": ("M.mat", ["--d", "7"], 0, {
         "check": "disjunct", "d": 7, "kind": "disjunct", "method": "exhaustive",
@@ -73,14 +73,23 @@ VERIFY_PAYLOADS = {
         "check": "disjunct", "d": 6, "kind": "disjunct", "method": "sampled",
         "trials": 20000, "verified": True,
     }),
-    "g-d2-exhaustive": ("G.mat", ["--d", "2"], 4, {
+    "g-d2-exhaustive": ("G.mat", ["--d", "2"], 0, {
         "check": "disjunct", "d": 2, "kind": "good", "method": "exhaustive",
-        "trials": 252, "verified": False, "witness": {"column": 8, "s1": [2, 5]},
+        "trials": 1680, "verified": True,
     }),
     "g-d2-sampled": ("G.mat", ["--d", "2", "--mode", "sampled", "--trials", "20000", "--seed", "3"],
-                     4, {
+                     0, {
         "check": "disjunct", "d": 2, "kind": "good", "method": "sampled",
-        "trials": 186, "verified": False, "witness": {"column": 9, "s1": [4, 15]},
+        "trials": 20000, "verified": True,
+    }),
+    "g-d3-exhaustive": ("G.mat", ["--d", "3"], 4, {
+        "check": "disjunct", "d": 3, "kind": "good", "method": "exhaustive",
+        "trials": 39, "verified": False, "witness": {"column": 6, "s1": [1, 2, 5]},
+    }),
+    "g-d3-sampled": ("G.mat", ["--d", "3", "--mode", "sampled", "--trials", "20000", "--seed", "3"],
+                     4, {
+        "check": "disjunct", "d": 3, "kind": "good", "method": "sampled",
+        "trials": 58, "verified": False, "witness": {"column": 8, "s1": [1, 3, 9]},
     }),
 }
 
@@ -90,12 +99,12 @@ THRESHOLD_PAYLOADS = {
     "d3-u2-e1": (["--d", "3", "--u", "2", "--e", "1"], 4, {
         "check": "threshold", "d": 3, "u": 2, "e": 1, "kind": "good", "min_count": 0,
         "triples_checked": 660480, "verified": False,
-        "witness": {"critical": [1, 2], "zero": [3, 8], "column": 1},
+        "witness": {"critical": [1, 2], "zero": [6, 7], "column": 1},
     }),
     "d2-u2-e0": (["--d", "2", "--u", "2", "--e", "0"], 4, {
         "check": "threshold", "d": 2, "u": 2, "e": 0, "kind": "good", "min_count": 0,
         "triples_checked": 25440, "verified": False,
-        "witness": {"critical": [1, 2], "zero": [3, 8], "column": 1},
+        "witness": {"critical": [1, 2], "zero": [6, 7], "column": 1},
     }),
 }
 
