@@ -9,7 +9,6 @@ from tgt import (
     decode_blocks,
     encode,
     generate_scheme,
-    recover_yprime,
 )
 from tgt.semantics import SchemeParams
 
@@ -22,17 +21,18 @@ params = SchemeParams(n=32, d=4, u=2, e=0, p=0.65)
 
 scheme, cert, validation = generate_scheme(params, seed=7)
 print(f"scheme: h={scheme.h} locator rows, k={scheme.k} solver rows, "
-      f"t={scheme.tests} tests = (2k+1)h")
+      f"t={scheme.tests} tests = (k+1)h")
 print(f"M {cert.d}-disjunct by construction ({cert.method}); G passed "
       f"{validation['sets_per_cardinality']} held-out sets per cardinality")
 
 # Hide some defectives and observe the outcomes: one flat vector with a
-# block [y_i, y-block, ybar-block] of 2k+1 bits per locator row i.
+# block [y_i, ybar-block] of k+1 bits per locator row i.  The ybar-block
+# pools the complement of M masked by the locator row.
 
 truth = DefectiveSet(rng.choice(32, size=4, replace=False).tolist())
 x = truth.to_vector(params.n)
 y = encode(scheme, x)
-blocks = y.to_array().reshape(scheme.h, 2 * scheme.k + 1)
+blocks = y.to_array().reshape(scheme.h, scheme.k + 1)
 print(f"defectives (1-based): {truth.to_one_based()}")
 print(f"{int(blocks[:, 0].sum())} of {scheme.h} blocks are positive")
 
@@ -41,15 +41,15 @@ print(f"{int(blocks[:, 0].sum())} of {scheme.h} blocks are positive")
 
 assert y == apply_threshold(scheme.t, x, params.u)
 
-# Inside a positive block whose pool holds exactly u defectives, the two
-# outcome halves recover the OR outcomes of the solver matrix.
+# Inside a positive block whose pool holds exactly u defectives, a
+# complement row reaches u exactly when the solver row holds no defective,
+# so NOT ybar is the OR outcome of the solver matrix.
 
 weights = scheme.g.to_array() @ x.to_array().astype(int)
 i = int(np.flatnonzero(weights == params.u)[0])
 xi = BitVector(x.to_array() & scheme.g.to_array()[i])
 print(f"\nblock {i}: restricted weight {xi.weight()} == u")
-k = scheme.k
-yprime = BitVector(recover_yprime(blocks[i, 1 : k + 1], blocks[i, k + 1 :]))
+yprime = BitVector(1 - blocks[i, 1:])
 assert yprime == apply_threshold(scheme.m, xi, 1)
 print("recovered OR outcome matches the solver matrix applied to the restriction")
 

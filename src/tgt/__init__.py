@@ -26,7 +26,6 @@ from .codec import (
     encode,
     generate_scheme,
     load_bundle,
-    recover_yprime,
     save_bundle,
 )
 from .constructions import (
@@ -67,7 +66,7 @@ __all__ = [
     "verify_disjunct", "construct_disjunct", "verify_threshold_disjunct",
     "is_good_for", "construct_good", "validate_good",
     "good_row_count",
-    "build_scheme", "encode", "recover_yprime", "cover_decode",
+    "build_scheme", "encode", "cover_decode",
     "decode_blocks", "adversarial_flip_positions",
     "generate_scheme", "save_bundle", "load_bundle",
     "brute_force_decode",

@@ -2,34 +2,38 @@
 
 A scheme couples a locator matrix G (h x n) with a solver matrix M
 (k x n, (d+1)-disjunct).  The full test matrix T interleaves,
-for each row i of G, one block of 2k+1 pools:
+for each row i of G, one block of k+1 pools:
 
-    [ G_i ;  M masked by G_i ;  complement(M) masked by G_i ]
+    [ G_i ;  complement(M) masked by G_i ]
 
-so T has (2k+1) h rows.  T holds nothing beyond G and M, so a scheme stores
-only those two and derives T when it is needed.  Outcomes are one flat vector
-in the row order of T.  Under threshold-u semantics the block for row i
-observes the restriction of the item vector x to supp(G_i), so `encode`
-computes each distinct block once (at most min(h, 2^|supp(x)|) of them) and
-copies it to the rows that share it.  When that restriction has weight
-exactly u, the three recovery rules turn the pair of threshold outcome blocks
-into the boolean-OR outcome of M, which the cover decoder inverts exactly.
-Blocks whose restriction has a different weight are screened out by the size
-and OR-consistency checks; per-item occurrence counts outvote up to e
-erroneous outcomes (an error corrupts at most one block, so a frequency
-threshold of e+1 separates true items from fabricated ones).  The distinct
-recovered outcomes of the positive blocks are decoded together by the cover
-rule, written once in `_survivors` (first on M's first rows, then in full on
-the columns that pass), and each decision goes to every block with that
-outcome.  Both dedupes go through `_distinct_rows`.  `generate_scheme` builds and
-certifies a scheme from one seed, for the library and `tgt gen` alike.
+so T has (k+1) h rows.  (The paper's block also pools M masked by G_i and
+decodes through y' = y OR NOT ybar, which is NOT ybar on every block of
+weight u; that half is left out.)  T holds nothing beyond G and M, so a
+scheme stores only those two and derives T when it is needed.  Outcomes are
+one flat vector in the row order of T.  Under threshold-u semantics the block
+for row i observes the restriction of the item vector x to supp(G_i), so
+`encode` computes each distinct block once (at most min(h, 2^|supp(x)|) of
+them) and copies it to the rows that share it.  When that restriction has
+weight exactly u, a row of complement(M) reaches u exactly when the row of M
+holds no defective, so NOT ybar is the boolean-OR outcome of M, which the
+cover decoder inverts exactly.  At weight w, u < w <= d, each non-defective
+lies in a row of M that holds no defective, which ybar reads positive, so
+the cover rule keeps no non-defective; the size and OR-consistency checks
+screen the rest.  Per-item occurrence counts outvote up to e erroneous
+outcomes (an error corrupts at most one block, so a frequency threshold of
+e+1 separates true items from fabricated ones).  The distinct ybar rows of
+the positive blocks are decoded together by the cover rule, written once in
+`_survivors` (first on M's first rows, then in full on the columns that
+pass), and each decision goes to every block with those rows.  Both dedupes
+go through `_distinct_rows`.  `generate_scheme` builds and certifies a
+scheme from one seed, for the library and `tgt gen` alike.
 
 A bundle is the files of `_bundle_files`: G.mat, M.mat and the
 scheme.json manifest, each a function of G, M, the parameters, seed, c,
 c_g and the two certificates; the manifest also records the SHA-256 of
 G.mat and M.mat.  Saving writes them and loading accepts exactly them,
 byte for byte, only with both certificates passed, and only with the M
-that the construction a certificate names builds.  T is not stored:
+and certificate that `construct_disjunct` builds.  T is not stored:
 `Scheme.t` builds it, and `tgt export-t` writes it as a matrix file.
 """
 
@@ -75,11 +79,11 @@ class Scheme:
 
     @property
     def tests(self) -> int:
-        return (2 * self.k + 1) * self.h
+        return (self.k + 1) * self.h
 
     @property
     def t(self) -> BitMatrix:
-        """The dense (2k+1)h x n test matrix, built anew on every access.
+        """The dense (k+1)h x n test matrix, built anew on every access.
         Building it, BitMatrix's 0/1 check included, peaks at 3 bytes per
         entry; BudgetError, before anything is allocated, when that exceeds
         physical memory."""
@@ -89,8 +93,8 @@ class Scheme:
 
 
 def _block_pattern(ma: np.ndarray) -> np.ndarray:
-    """Rows [1; M; complement(M)] of a 0/1 array M; block i of T is them masked by G_i."""
-    return np.vstack([np.ones((1, ma.shape[1]), dtype=ma.dtype), ma, 1 - ma])
+    """Rows [1; complement(M)] of a 0/1 array M; block i of T is them masked by G_i."""
+    return np.vstack([np.ones((1, ma.shape[1]), dtype=ma.dtype), 1 - ma])
 
 
 def build_scheme(g: BitMatrix, m: BitMatrix, params: SchemeParams) -> Scheme:
@@ -118,7 +122,7 @@ def generate_scheme(params: SchemeParams, seed: int, c_g: float = DEFAULT_C_G,
 
 def encode(scheme: Scheme, x: BitVector) -> BitVector:
     """Apply every test of T to x at threshold u, in the row order of T:
-    [y_i, y-block, ybar-block] per locator row i.  Only S = supp(x) can add
+    [y_i, ybar-block] per locator row i.  Only S = supp(x) can add
     to a count, and block i depends only on G_i over S, so each distinct
     block, at most min(h, 2^|S|) of them, counts G_i & pattern_r over S once
     (float32, exact) and is copied to the rows that share it.
@@ -157,33 +161,18 @@ def flatten_outcomes(y: BitVector) -> BitVector:
 
 
 def split_outcome(y: BitVector, h: int, k: int) -> BitVector:
-    """Check that y has (2k+1)h bits and return it unchanged."""
-    if len(y) != (2 * k + 1) * h:
-        raise DimensionError(f"outcome has {len(y)} bits, expected {(2 * k + 1) * h}")
+    """Check that y has (k+1)h bits and return it unchanged."""
+    if len(y) != (k + 1) * h:
+        raise DimensionError(f"outcome has {len(y)} bits, expected {(k + 1) * h}")
     return y
 
 
-def recover_yprime(y_block: np.ndarray, y_bar_block: np.ndarray) -> np.ndarray:
-    """Recover the boolean-OR outcome of M from a block's two halves.
-
-    Per position: a positive threshold outcome stays positive; a negative
-    one is negative only when the complement half is positive, because
-    with exactly u defectives in the block both halves can only be
-    negative when the defectives straddle the pool and its complement.
-    Equivalently y' = y OR NOT ybar.  The identity y' = M (OR) x holds
-    precisely when the block's restricted item vector has weight u.
-    Works elementwise on 0/1 arrays of any equal shape.
-    """
-    if y_block.shape != y_bar_block.shape:
-        raise DimensionError("block halves have different shapes")
-    return y_block | (1 - y_bar_block)
-
-
-def _survivors(ma: np.ndarray, yprime: np.ndarray) -> np.ndarray:
+def _survivors(ma: np.ndarray, negative: np.ndarray) -> np.ndarray:
     """The cover rule: column j survives iff no M-row containing j is
-    negative.  yprime is one outcome (k,) or a stack (P, k); the result is
-    a boolean (n,) or (P, n).  float32 counts stay exact up to 2**24 rows."""
-    return (1 - yprime).astype(np.float32) @ ma.astype(np.float32) == 0
+    negative.  `negative` marks the negative rows of one OR outcome (k,) or
+    a stack (P, k), as a decoded block's ybar rows do; the result is a
+    boolean (n,) or (P, n).  float32 counts stay exact up to 2**24 rows."""
+    return negative.astype(np.float32) @ ma.astype(np.float32) == 0
 
 
 def cover_decode(m: BitMatrix, yprime: BitVector) -> DefectiveSet:
@@ -191,7 +180,7 @@ def cover_decode(m: BitMatrix, yprime: BitVector) -> DefectiveSet:
     positive.  Exact for |supp(x)| up to the disjunctness order of m."""
     if m.rows != len(yprime):
         raise DimensionError(f"matrix has {m.rows} rows, outcome has {len(yprime)}")
-    return DefectiveSet(np.flatnonzero(_survivors(m.to_array(), yprime.to_array())).tolist())
+    return DefectiveSet(np.flatnonzero(_survivors(m.to_array(), 1 - yprime.to_array())).tolist())
 
 
 @dataclass(frozen=True)
@@ -253,12 +242,13 @@ _NEGATIVE, _OVERFLOW, _SIZE, _MISMATCH, _ACCEPTED = range(len(_REASONS))  # code
 
 
 def decode_blocks(scheme: Scheme, y: BitVector) -> DecodeReport:
-    """Decode a (2k+1)h-bit outcome, deciding all positive blocks at once.
+    """Decode a (k+1)h-bit outcome, deciding all positive blocks at once.
 
-    For each positive locator row: recover the OR outcome, cover-decode
-    it, and accept the candidate set only if it has exactly u items whose
+    For each positive locator row, the recovered OR outcome is NOT ybar:
+    cover-decode it (a column survives iff no positive ybar row contains
+    it), and accept the candidate set only if it has exactly u items whose
     pooled columns reproduce the recovered outcome.  This runs once per
-    distinct outcome, which depends only on D ∩ supp(G_i): support D and
+    distinct ybar block, which depends only on D ∩ supp(G_i): support D and
     e flips give at most sum_{s=u..|D|} C(|D|, s) + e (random outcomes are
     all distinct).  The cover decode screens every column on M's first
     64 rows, which is the full rule when M has no more, else applies the
@@ -272,10 +262,10 @@ def decode_blocks(scheme: Scheme, y: BitVector) -> DecodeReport:
     split_outcome(y, h, k)
     u = scheme.params.u
     ma = scheme.m.to_array()
-    view = y.to_array().reshape(h, 2 * k + 1)
+    view = y.to_array().reshape(h, k + 1)
     positive = np.flatnonzero(view[:, 0])
-    yprime = recover_yprime(view[positive, 1 : k + 1], view[positive, k + 1 :])
-    distinct, inverse = _distinct_rows(yprime)  # (U, k); block b of `positive` is row inverse[b]
+    # (U, k) distinct ybar rows; block b of `positive` is row inverse[b]
+    distinct, inverse = _distinct_rows(view[positive, 1:])
     head = _survivors(ma[:_SCREEN_ROWS], distinct[:, :_SCREEN_ROWS])  # (U, n)
     cols = np.flatnonzero(head.any(axis=0))  # the rest are dead in every block
     sub = ma[:, cols]
@@ -283,7 +273,7 @@ def decode_blocks(scheme: Scheme, y: BitVector) -> DecodeReport:
     sizes = alive.sum(axis=1)
     sized = sizes == u
     picks = np.nonzero(alive[sized])[1].reshape(-1, u)
-    consistent = (sub[:, picks].max(axis=2).T == distinct[sized]).all(axis=1)
+    consistent = (sub[:, picks].max(axis=2).T != distinct[sized]).all(axis=1)  # OR == NOT ybar
 
     decided = np.where(sizes > scheme.params.d + 1, _OVERFLOW, _SIZE)
     decided[sized] = np.where(consistent, _ACCEPTED, _MISMATCH)
@@ -313,14 +303,14 @@ def adversarial_flip_positions(scheme: Scheme, x: BitVector, e: int) -> tuple[in
         weakest = np.argmin(g[qualifying].sum(axis=0))
         target = np.flatnonzero(qualifying & (g[:, weakest] == 1)).tolist()
     blocks = dict.fromkeys([*target, *np.flatnonzero(qualifying).tolist(), *range(scheme.h)])
-    stride = 2 * scheme.k + 1
+    stride = scheme.k + 1
     return tuple(sorted(i * stride for i in list(blocks)[:e]))
 
 
 # --- scheme bundles --------------------------------------------------------
 
 
-_FORMAT = "tgt-scheme-v2"
+_FORMAT = "tgt-scheme-v3"
 # The manifest values that every matrix file of a bundle carries in its header.
 MATRIX_HEADER_KEYS = ("d", "u", "e", "seed", "c", "c_g")
 
@@ -355,11 +345,11 @@ def _manifest_params(manifest, directory: Path) -> SchemeParams:
     if not isinstance(manifest, dict):
         raise ParseError(f"scheme manifest in {directory} is not a JSON object")
     names = [f.name for f in fields(SchemeParams)]
-    if manifest.get("format") == "tgt-scheme-v1":
+    if manifest.get("format") in ("tgt-scheme-v1", "tgt-scheme-v2"):
         flags = " ".join(f"--{key.replace('_', '-')} {manifest.get(key)}"
                          for key in (*names, "seed", "c_g"))
-        raise ParseError(f"{directory} is a tgt-scheme-v1 bundle, which stored T.mat; "
-                         f"rebuild it with `tgt gen {flags} --out <new directory>`")
+        raise ParseError(f"{directory} is a {manifest['format']} bundle, whose T had 2k+1 rows "
+                         f"per block; rebuild it with `tgt gen {flags} --out <new directory>`")
     if manifest.get("format") != _FORMAT:
         raise ParseError(f"unknown scheme format {manifest.get('format')!r}")
     try:
@@ -394,8 +384,7 @@ def load_bundle(directory: str | Path) -> tuple[Scheme, dict]:
     end, the file save_bundle writes for the stored G, M and the manifest's
     parameters, seed, c, c_g and certificates; ParseError if not.  It is
     then refused with VerificationError unless M's certificate is verified,
-    G's validation passed and, for a certificate that names a construction
-    ("kautz-singleton" or "identity"), M and the certificate are the ones
+    G's validation passed, and M and the certificate are the ones
     construct_disjunct builds for n and d.
     """
     directory = Path(directory)
@@ -424,10 +413,9 @@ def load_bundle(directory: str | Path) -> tuple[Scheme, dict]:
     for key, flag in (("m_certificate", "verified"), ("g_validation", "passed")):
         if not (isinstance(manifest[key], dict) and manifest[key].get(flag) is True):
             raise VerificationError(f"{directory / 'scheme.json'}: {key}.{flag} is not true")
-    method = manifest["m_certificate"].get("method")
-    if method in ("kautz-singleton", "identity"):
-        built, cert = construct_disjunct(params.n, params.d)
-        if m != built or manifest["m_certificate"] != cert.to_json():
-            raise VerificationError(f"{directory / 'M.mat'} is not the {method} matrix "
-                                    f"that its certificate names for n={params.n}, d={params.d}")
+    built, cert = construct_disjunct(params.n, params.d)
+    if m != built or manifest["m_certificate"] != cert.to_json():
+        raise VerificationError(f"{directory / 'M.mat'} is not the {cert.method} matrix and "
+                                "certificate that construct_disjunct builds for "
+                                f"n={params.n}, d={params.d}")
     return scheme, manifest

@@ -81,7 +81,7 @@ def test_benchmark_schemes_are_pinned():
     assert digest.hexdigest() == BENCHMARK_SCHEMES_SHA256
 
 
-def test_benchmark_locators_are_unmoved():
+def test_benchmark_locators_are_pinned():
     digest = hashlib.sha256()
     for n, d, u, e, p, seed in BENCHMARK_POINTS:
         scheme, _, validation = tgt.generate_scheme(SchemeParams(n=n, d=d, u=u, e=e, p=p), seed)

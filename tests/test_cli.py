@@ -57,7 +57,7 @@ def bundle(tmp_path_factory):
 class TestGen:
     def test_bundle_contents_and_dimensions(self, bundle):
         manifest = json.loads((bundle / "scheme.json").read_text())
-        assert manifest["t"] == (2 * manifest["k"] + 1) * manifest["h"]
+        assert manifest["t"] == (manifest["k"] + 1) * manifest["h"]
         assert sorted(p.name for p in bundle.iterdir()) == ["G.mat", "M.mat", "scheme.json"]
         assert manifest["m_certificate"]["verified"]
         assert manifest["g_validation"]["passed"]
@@ -232,11 +232,13 @@ class TestExportT:
         assert json.loads(stdout) == {"out": str(out), "rows": manifest["t"], "cols": 16}
 
     def test_oversized_export_is_a_budget_error(self, bundle, tmp_path, capsys, monkeypatch):
-        """With physical memory reported as 32 pages, the n=16 T (71,808 entries,
-        3 bytes each while built) exits 5 before it is allocated or --out made."""
+        """With physical memory reported as the most whole pages below 3 bytes per
+        entry of the n=16 T (36,992 entries), the export exits 5 before T is
+        allocated or --out made."""
         sysconf = os.sysconf
+        pages = (3 * 36_992 - 1) // sysconf("SC_PAGE_SIZE")
         monkeypatch.setattr(os, "sysconf",
-                            lambda name: 32 if name == "SC_PHYS_PAGES" else sysconf(name))
+                            lambda name: pages if name == "SC_PHYS_PAGES" else sysconf(name))
         out = tmp_path / "T.mat"
         tracemalloc.start()
         try:
@@ -247,7 +249,7 @@ class TestExportT:
         assert code == 5
         err = capsys.readouterr().err
         assert err.startswith("budget exceeded:") and "physical memory" in err
-        assert peak < 71_808 // 2
+        assert peak < 36_992 // 2
         assert not out.exists()
 
 
@@ -316,7 +318,7 @@ class TestBench:
         rows = [json.loads(line) for line in out.strip().splitlines()
                 if line.startswith("{")]
         assert len(rows) == 1
-        assert rows[0]["t"] == (2 * rows[0]["k"] + 1) * rows[0]["h"]
+        assert rows[0]["t"] == (rows[0]["k"] + 1) * rows[0]["h"]
         assert "note:" in out
         assert (tmp_path / "bench.csv").read_text().count("\n") == 2
 
@@ -384,14 +386,17 @@ class TestMalformedInput:
         assert code == 2
         assert "unknown scheme format" in capsys.readouterr().err
 
-    def test_v1_bundle_names_its_rebuild(self, bundle, tmp_path, capsys):
-        """A tgt-scheme-v1 bundle (with T.mat, without digests) exits 2 with the
-        `tgt gen` call that rebuilds it, which writes the same G.mat and M.mat."""
-        copy = tmp_path / "v1"
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_v1_bundle_names_its_rebuild(self, bundle, tmp_path, capsys, version):
+        """A tgt-scheme-v1 bundle (with T.mat, without digests) or a v2 bundle
+        (whose T had 2k+1 rows per block) exits 2 with the `tgt gen` call that
+        rebuilds it, which writes the same G.mat and M.mat."""
+        copy = tmp_path / version
         shutil.copytree(bundle, copy)
-        assert main(["export-t", "--bundle", str(bundle), "--out", str(copy / "T.mat")]) == 0
-        rewrite_manifest(copy, lambda manifest: manifest.update(format="tgt-scheme-v1"))
-        rewrite_manifest(copy, lambda manifest: manifest.pop("sha256"))
+        rewrite_manifest(copy, lambda manifest: manifest.update(format=f"tgt-scheme-{version}"))
+        if version == "v1":
+            assert main(["export-t", "--bundle", str(bundle), "--out", str(copy / "T.mat")]) == 0
+            rewrite_manifest(copy, lambda manifest: manifest.pop("sha256"))
         capsys.readouterr()
         assert main(["decode", "--bundle", str(copy), "--y", str(tmp_path / "y.vec")]) == 2
         command = re.search(r"`tgt (gen .*) --out <new directory>`", capsys.readouterr().err)
@@ -447,7 +452,7 @@ class TestMalformedInput:
 
         def edit(manifest):
             manifest["sha256"]["M.mat"] = hashlib.sha256(forged).hexdigest()
-            manifest["k"], manifest["t"] = swapped.rows, (2 * swapped.rows + 1) * manifest["h"]
+            manifest["k"], manifest["t"] = swapped.rows, (swapped.rows + 1) * manifest["h"]
             if forge == "identity":
                 manifest["m_certificate"] = {"d": d + 1, "method": "identity", "trials": 0,
                                              "verified": True}
@@ -457,7 +462,7 @@ class TestMalformedInput:
                      "--out", str(tmp_path / "y.vec")])
         assert code == 4
         assert "M.mat is not the" in capsys.readouterr().err
-        with pytest.raises(VerificationError, match="that its certificate names"):
+        with pytest.raises(VerificationError, match="that construct_disjunct builds"):
             load_bundle(directory)
 
     def test_matrices_swapped(self, bundle, tmp_path, capsys):

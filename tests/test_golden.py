@@ -26,22 +26,22 @@ BUNDLE_DIGESTS = {
     16: {
         "G.mat": "80e1a0e1d29b2455aba3c22a1caada8023e5079ac6a71d78c6ce353226d084b4",
         "M.mat": "1964436b27526eef5022b161146cf84091dd420e3bbba40bfb1f222f20622acc",
-        "scheme.json": "228c8bfbed4f6e80ef3c5c88d5f828505540912656c9dd80ae8334756b270aee",
+        "scheme.json": "f4c3bc1bcf63496affc346d2916912e33ca197a647cb04131b8a935ca107d5fa",
     },
     13: {
         "G.mat": "1814037f70975622b0bc6f7f4fdc2d5e85aa75bef7e41686b7158f3d7488ab2f",
         "M.mat": "96108b5e3927f538509583d6bcd015d52ac2aaaf4065288971b06852d1571a4a",
-        "scheme.json": "8c2ca80765ad7ce2a745bc5e3f534fc3ce033b0cdbf64b25b4cbe1d5a613f24e",
+        "scheme.json": "363176b4d741e0a2872c5531ec760d3b8585f7d3811dd511aedfa874e6a7deca",
     },
 }
-# `tgt export-t` of the bundles above: the T.mat that tgt-scheme-v1 bundles stored.
+# `tgt export-t` of the bundles above: T with (k+1)h rows.
 T_DIGESTS = {
-    16: "823ac0a6a298ca51f120d84a6c9945bb7b04af4759db6a40604ee602beee3452",
-    13: "0f75cade62a2b657034264ebbff820d1355f6bb941a7ded8589a6898f3b7c79c",
+    16: "c673b723e2b61b96cb270444374b204a17833509fd37f4354ceb53c56843f0a9",
+    13: "e387c17b1be093ac7ccc1580e1cd15821700213fe13122bf5c6dd7964e1e1c25",
 }
-SIMULATE_CSV = "417b2e40fe879fa43ec8a792ec4ce62543d1e615ba767489c589de75e4566461"
-ADVERSARIAL_CSV = "5ca0e46551ca486ec5b0ef0c35ff92ec648d2104d1e59f0623d192499a80ea3b"
-ENCODE_VEC = "a3092d333b7d39d84e311eed6758a2b6f5f116a53dce88eae26813a4f1236dbe"
+SIMULATE_CSV = "0a16a8655af22efece5eb6095a50e681ff4f19ec85d937ee65b08adf7d5d652a"
+ADVERSARIAL_CSV = "9df495800f1576a9408083f920ebf5e8afe6b42582e65c74dd78c8590aa5b9df"
+ENCODE_VEC = "9dc4498cb44100a430391044ded0dd33cc772ebc3c14244c21cb2c67d156e26c"
 DECODE_JSON = "a0f8f07873ac54b7214fc0ec586e5a957ee0d1d03ca0a36088b0d5f7f2a8cc2f"
 
 # `tgt simulate` summaries (minus the timing) with sub-threshold trials, which

@@ -134,11 +134,11 @@ class TestBatchedWalk:
         assert [c.indices for c in found.candidates] == reference_decode(t, y, d, u, mismatches)
 
     def test_memory_is_bounded(self):
-        """The n=16 G of the benchmark's grid-small workload beside a 208-row M
+        """The n=16 G of the benchmark's grid-small workload beside a 416-row M
         gives 88,821 tests; a fixed 1024-candidate batch held 243 MiB of counts there."""
         params = SchemeParams(n=16, d=3, u=2, e=1, p=0.72)
         g = generate_scheme(params, 20250811)[0].g
-        scheme = Scheme(params, g, BitMatrix.random(np.random.default_rng(0), 208, 16, 0.2))
+        scheme = Scheme(params, g, BitMatrix.random(np.random.default_rng(0), 416, 16, 0.2))
         t = scheme.t
         truth = DefectiveSet([2, 9])
         noisy, _ = inject_errors(encode(scheme, truth.to_vector(16)), 1, np.random.default_rng(3))
