@@ -21,8 +21,9 @@ rng = np.random.default_rng(42)
 # j's base-q digits, and each of m evaluation points gives q rows, one per
 # value.  Two columns agree on at most kappa-1 points, so with
 # m = (d+1)(kappa-1)+1 every column keeps a row of its own against any d+1
-# others: disjunct by construction, with no draw and no search.  Where the
-# identity has no more rows, M is the identity.
+# others: disjunct by construction, with no draw and no search.  The
+# identity is the kappa = 1 code (one point, column j the constant j), and
+# M is the identity where no longer code has fewer rows.
 
 m, cert = construct_disjunct(n=64, d=2)
 q, kappa, points = cert.code
@@ -53,7 +54,8 @@ print(f"goodness for {dset.to_one_based()} at budget {2 * params.e}: {report.is_
       f"rows meeting it in exactly 2 items, per item: {counts}")
 
 # At desk scale the stronger threshold-disjunct property can be checked by
-# full enumeration, and it implies fixed-D goodness for every D.
+# enumeration (a count only falls as the zero set grows, so only the largest
+# zero sets are counted), and it implies fixed-D goodness for every D.
 
 tiny = np.zeros((15, 6), dtype=np.uint8)
 for row, pair in enumerate([(i, j) for i in range(6) for j in range(i + 1, 6)]):

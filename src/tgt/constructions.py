@@ -12,13 +12,13 @@ Three properties matter here:
   exactly u defectives, together they cover D, and every defective lies in
   more than e of them.
 
-The solver matrix is disjunct by construction: a Kautz-Singleton code
-(Reed-Solomon over a prime field, concatenated with the identity) or the
-identity, whichever has fewer rows, so it draws nothing and needs no
-search.  Goodness is a property of the defective set, so each locator
-candidate is drawn at density u/d and validated on defective sets sampled
-from a stream of its own; construction is deterministic given a seeded
-generator and fails hard after max_attempts rather than degrade.
+The solver matrix is disjunct by construction: the Kautz-Singleton code
+(Reed-Solomon over a prime field, concatenated with the identity) with the
+fewest rows, the identity being its one-point (kappa = 1) case, so it draws
+nothing and needs no search.  Goodness is a property of the defective set,
+so each locator candidate is drawn at density u/d and validated on defective
+sets sampled from a stream of its own; construction is deterministic given a
+seeded generator and fails hard after max_attempts rather than degrade.
 The universal properties are exponential to check; the verifiers below
 serve `tgt verify` and cross-check the constructions.
 
@@ -291,12 +291,13 @@ def check_disjunct_slow(m: BitMatrix, d: int) -> bool:
     return True
 
 
-def _ks_code(n: int, order: int) -> tuple[int, int, int] | None:
+def _ks_code(n: int, order: int) -> tuple[int, int, int]:
     """(q, kappa, m) of the order-disjunct Kautz-Singleton code on n columns with
-    the fewest rows m*q, the smaller kappa on ties; None if none has fewer than n.
-    Columns are the polynomials of degree < kappa over GF(q), q prime, q^kappa >= n;
-    two agree on at most kappa - 1 of the m = order (kappa - 1) + 1 <= q points."""
-    best, fewest, kappa = None, n, 2
+    the fewest rows m*q, the smaller kappa on ties.  Columns are the polynomials of
+    degree < kappa over GF(q), q^kappa >= n; two agree on at most kappa - 1 of the
+    m = order (kappa - 1) + 1 <= q points.  kappa = 1 is the identity (n, 1, 1):
+    one point and column j the constant j, so that q = n need not be prime."""
+    best, fewest, kappa = (n, 1, 1), n, 2
     while (m := order * (kappa - 1) + 1) ** 2 < fewest:  # q >= m: no later kappa can win
         q = max(m, round(n ** (1 / kappa)))  # at most the least q with q^kappa >= n
         while q ** kappa < n or any(q % p == 0 for p in range(2, math.isqrt(q) + 1)):
@@ -309,21 +310,17 @@ def _ks_code(n: int, order: int) -> tuple[int, int, int] | None:
 
 def construct_disjunct(n: int, d: int, rng: np.random.Generator | None = None,
                        ) -> tuple[BitMatrix, DisjunctCertificate]:
-    """The (d+1)-disjunct matrix with the fewest rows of the identity (on ties) and
-    the Kautz-Singleton codes of `_ks_code`, proven by construction; draws nothing,
-    so `rng` is ignored.  Column j is the polynomial whose coefficients, lowest
-    first, are the base-q digits of j; row a*q + s holds the columns whose
-    polynomial takes the value s at the point a, for a < m and s < q."""
+    """The (d+1)-disjunct Kautz-Singleton code of `_ks_code`, proven by construction;
+    draws nothing, so `rng` is ignored.  Column j is the polynomial whose coefficients,
+    lowest first, are the base-q digits of j; row a*q + s holds the columns whose
+    polynomial takes the value s at the point a, for a < m and s < q.  The kappa = 1
+    code, the identity, is certified as "identity" and carries no (q, kappa, m)."""
     if d < 1:
         raise ParameterError(f"need d >= 1, got {d}")
     if d + 1 >= n:
         raise ParameterError(f"need d+1 < n, got d={d}, n={n}")
-    code = _ks_code(n, d + 1)
-    if code is None:
-        check_memory(n * n, f"a {n} x {n} identity solver matrix")
-        return BitMatrix.identity(n), DisjunctCertificate(d + 1, True, "identity", 0)
-    q, kappa, m = code
-    check_memory(m * q * n, f"a {m * q} x {n} Kautz-Singleton solver matrix")
+    q, kappa, m = code = _ks_code(n, d + 1)
+    check_memory(m * q * n, f"a {m * q} x {n} solver matrix")
     rest, digits = np.arange(n), []
     for _ in range(kappa):
         rest, digit = np.divmod(rest, q)
@@ -333,26 +330,25 @@ def construct_disjunct(n: int, d: int, rng: np.random.Generator | None = None,
         symbols = (symbols * points + digit) % q
     a = np.zeros((m, q, n), dtype=bool)
     a[points, symbols, np.arange(n)] = True
-    cert = DisjunctCertificate(d + 1, True, "kautz-singleton", 0, code=code)
+    cert = (DisjunctCertificate(d + 1, True, "identity", 0) if kappa == 1 else
+            DisjunctCertificate(d + 1, True, "kautz-singleton", 0, code=code))
     return BitMatrix._adopt(a.reshape(m * q, n)), cert
 
 
 def verify_threshold_disjunct(g: BitMatrix, d: int, u: int, e: int) -> ThresholdDisjunctReport:
     """Exhaustively check the threshold-disjunct property at desk scale.
 
-    Counts every (S, Z, j) triple, one array product per S and |Z|; the
-    projected triple count is charged against the work budget up front.
+    A row that misses Z misses every subset of Z, so a count only falls as Z
+    grows and the minimum over |Z| <= |S| is reached at |Z| = min(|S|, n - |S|):
+    only those (S, Z, j) triples are counted, one array product per S, and the
+    witness is the first lowest among them.  Their number is charged against
+    the work budget up front.
     """
     n = g.cols
     if not (1 <= u <= d < n):
         raise ParameterError(f"need 1 <= u <= d < n, got u={u}, d={d}, n={n}")
     _check_at_least("error budget e", e, 0)
-    total = 0
-    for s_size in range(u, d + 1):
-        z_choices = sum(
-            math.comb(n - s_size, z) for z in range(0, min(s_size, n - s_size) + 1)
-        )
-        total += math.comb(n, s_size) * z_choices * s_size
+    total = sum(math.comb(n, s) * math.comb(n - s, min(s, n - s)) * s for s in range(u, d + 1))
     cap = work_budget()
     if total > cap:
         raise BudgetError(f"threshold check needs ~{total} triples, budget is {cap}")
@@ -360,19 +356,17 @@ def verify_threshold_disjunct(g: BitMatrix, d: int, u: int, e: int) -> Threshold
     a = g.to_array().astype(np.float32)  # counts exact below 2^24 rows
     lowest, witness = g.rows + 1, None  # no count exceeds the row count
     for s_size in range(u, d + 1):
-        # Zero sets per size: positions into [n] minus S, lexicographic, and their 0/1 rows.
-        picks = [np.array(list(combinations(range(n - s_size), z)), np.intp)
-                 for z in range(min(s_size, n - s_size) + 1)]
-        masks = [np.eye(n - s_size, dtype=np.float32)[pick].sum(axis=1) for pick in picks]
+        # The largest zero sets: positions into [n] minus S, lexicographic, and their 0/1 rows.
+        pick = np.array(list(combinations(range(n - s_size), min(s_size, n - s_size))), np.intp)
+        mask = np.eye(n - s_size, dtype=np.float32)[pick].sum(axis=1)
         for s in combinations(range(n), s_size):
             qualifying = a[a[:, s].sum(axis=1) == u]  # rows meeting S in exactly u items
             rest = np.delete(np.arange(n), s)
-            for pick, mask in zip(picks, masks):
-                # counts[Z, j]: qualifying rows that miss Z and contain j.
-                counts = ((mask @ qualifying[:, rest].T) == 0) @ qualifying[:, s]
-                if counts.min() < lowest:
-                    zi, ji = divmod(int(counts.argmin()), s_size)
-                    lowest, witness = int(counts.min()), (s, tuple(rest[pick[zi]].tolist()), s[ji])
+            # counts[Z, j]: qualifying rows that miss Z and contain j.
+            counts = ((mask @ qualifying[:, rest].T) == 0) @ qualifying[:, s]
+            if counts.min() < lowest:
+                zi, ji = divmod(int(counts.argmin()), s_size)
+                lowest, witness = int(counts.min()), (s, tuple(rest[pick[zi]].tolist()), s[ji])
     passed = lowest > e
     return ThresholdDisjunctReport(passed, lowest, None if passed else witness, total)
 

@@ -427,6 +427,8 @@ class TestConstructDisjunct:
         assert m1 == m2
 
     # (9, 1), (20, 2) and (55, 3) tie: a code has exactly n rows, and the identity wins.
+    # At (9, 1), m^2 = n ends the search before the code is weighed; the other two
+    # reach the m*q < n comparison.
     @pytest.mark.parametrize("n,d", [(8, 1), (9, 1), (12, 2), (20, 2), (30, 2), (32, 2), (55, 3),
                                      (64, 2), (100, 3), (256, 4), (343, 2), (1024, 4)])
     def test_matches_plain_reference(self, n, d):
@@ -470,10 +472,11 @@ class TestConstructDisjunct:
         assert check_disjunct_slow(m, 3)
 
     def test_dense_size_checked_first(self, monkeypatch):
+        """The identity (kappa = 1) and a longer code meet the same memory check."""
         monkeypatch.setattr(constructions.os, "sysconf", lambda name: 1)
-        with pytest.raises(BudgetError, match="1024 x 1024 identity"):
+        with pytest.raises(BudgetError, match="a 1024 x 1024 solver matrix"):
             construct_disjunct(1024, 500)
-        with pytest.raises(BudgetError, match="121 x 1024 Kautz-Singleton"):
+        with pytest.raises(BudgetError, match="a 121 x 1024 solver matrix"):
             construct_disjunct(1024, 4)
 
 
@@ -491,10 +494,10 @@ class TestVerifyThresholdDisjunct:
         assert report.witness is not None
 
     def test_all_zeros_fails_with_witness(self):
+        """Every triple counts 0; the witness is the first with a largest zero set."""
         report = verify_threshold_disjunct(BitMatrix.zeros(5, 6), 2, 2, 0)
         assert not report.passed and report.min_count == 0
-        s, z, j = report.witness
-        assert j in s and not (set(s) & set(z))
+        assert report.witness == ((0, 1), (2, 3), 0)
 
     def test_budget_error(self, monkeypatch):
         monkeypatch.setenv("TGT_BUDGET", "100")
@@ -525,17 +528,20 @@ class TestVerifyThresholdDisjunct:
         else:
             g = getattr(BitMatrix, fill)(rows, n)
         report = verify_threshold_disjunct(g, d, u, e)
-        expected = threshold_disjunct_reference(g, d, u, e)
-        assert (report.passed, report.min_count, report.witness, report.triples_checked) == expected
+        full = threshold_disjunct_reference(g, d, u, e)
+        largest = threshold_disjunct_reference(g, d, u, e, largest_only=True)
+        assert (report.passed, report.min_count) == full[:2] == largest[:2]
+        assert (report.passed, report.min_count, report.witness, report.triples_checked) == largest
 
 
-def threshold_disjunct_reference(g: BitMatrix, d: int, u: int, e: int):
+def threshold_disjunct_reference(g: BitMatrix, d: int, u: int, e: int, largest_only=False):
     """(passed, min_count, witness, triples) straight from the definition.
 
     Walks every (S, Z, j) triple in order (|S| from u to d, S lexicographic,
     |Z| from 0 to min(|S|, n - |S|), Z lexicographic in [n] minus S, j in S)
     and counts the rows meeting S in exactly u items, missing Z and holding
-    j; the first triple at the lowest count is the witness.
+    j; the first triple at the lowest count is the witness.  `largest_only`
+    walks only the zero sets of size min(|S|, n - |S|).
     """
     n = g.cols
     rows = [set(np.flatnonzero(r).tolist()) for r in g.to_array()]
@@ -543,7 +549,8 @@ def threshold_disjunct_reference(g: BitMatrix, d: int, u: int, e: int):
     for s_size in range(u, d + 1):
         for s in combinations(range(n), s_size):
             rest = [i for i in range(n) if i not in s]
-            for z_size in range(min(s_size, n - s_size) + 1):
+            z_max = min(s_size, n - s_size)
+            for z_size in range(z_max if largest_only else 0, z_max + 1):
                 for z in combinations(rest, z_size):
                     for j in s:
                         triples += 1

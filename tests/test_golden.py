@@ -94,16 +94,18 @@ VERIFY_PAYLOADS = {
 }
 
 # `tgt verify --check threshold` payloads (minus "path") for the n=16 bundle's
-# G.mat, with exit codes; both fail on the same (S, Z, j) triple.
+# G.mat, with exit codes; both fail on the same (S, Z, j) triple.  Only the
+# largest zero sets are counted, so triples_checked is sum C(n,s) C(n-s, z) s
+# over u <= s <= d, with z = min(s, n - s).
 THRESHOLD_PAYLOADS = {
     "d3-u2-e1": (["--d", "3", "--u", "2", "--e", "1"], 4, {
         "check": "threshold", "d": 3, "u": 2, "e": 1, "kind": "good", "min_count": 0,
-        "triples_checked": 660480, "verified": False,
+        "triples_checked": 502320, "verified": False,
         "witness": {"critical": [1, 2], "zero": [6, 7], "column": 1},
     }),
     "d2-u2-e0": (["--d", "2", "--u", "2", "--e", "0"], 4, {
         "check": "threshold", "d": 2, "u": 2, "e": 0, "kind": "good", "min_count": 0,
-        "triples_checked": 25440, "verified": False,
+        "triples_checked": 21840, "verified": False,
         "witness": {"critical": [1, 2], "zero": [6, 7], "column": 1},
     }),
 }
@@ -205,7 +207,7 @@ def test_threshold_payload_passing(tmp_path, capsys):
     del payload["path"]
     assert payload == {
         "check": "threshold", "d": 2, "u": 2, "e": 0, "kind": "good", "min_count": 1,
-        "triples_checked": 330, "verified": True,
+        "triples_checked": 180, "verified": True,
     }
 
 
